@@ -1,6 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test test-all fuzz verify coverage bench bench-small bench-sim bench-serve bench-fleet bench-smoke serve-smoke serve-fleet-smoke stream-smoke tech-smoke pareto-smoke profile-smoke report examples clean
+.PHONY: install test test-all fuzz verify coverage bench bench-small bench-sim bench-serve bench-fleet bench-smoke serve-smoke serve-fleet-smoke stream-smoke tech-smoke pareto-smoke profile-smoke report report-check examples clean
 
 install:
 	pip install -e . || python setup.py develop
@@ -106,8 +106,19 @@ coverage:
 profile-smoke:
 	PYTHONPATH=src python scripts/profile_smoke.py
 
+# The paper report at full scale, plus the small-scale golden that
+# report-check compares against.
 report:
-	python -m repro.cli reproduce -o REPORT.txt
+	PYTHONPATH=src python -m repro.cli reproduce -o REPORT.txt
+	PYTHONPATH=src python -m repro.cli reproduce --scale small -o REPORT_small.txt
+
+# Regenerates the small-scale report and compares it byte for byte with
+# the committed golden: a change that moves a reported digit must
+# re-run `make report` and commit the diff.
+report-check:
+	@out=$$(mktemp) && \
+	PYTHONPATH=src python -m repro.cli reproduce --scale small -o "$$out" && \
+	diff -u REPORT_small.txt "$$out"; status=$$?; rm -f "$$out"; exit $$status
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; python "$$f"; done

@@ -23,6 +23,7 @@ from .packed import (
     packed_functional_values,
     packed_unit_delay_transition,
 )
+from .power import ENGINES, resolve_auto
 from .program import compile_program
 from .simulate import functional_values, unit_delay_transition
 
@@ -52,7 +53,9 @@ def net_power_breakdown(
         input_bits: ``[n, m]`` input vector stream.
         top: Keep only the ``top`` hottest nets (all when None).
         chunk_size: Vectorization batch size.
-        engine: ``"bool"``, ``"packed"``, ``"compiled"`` or ``"auto"``.
+        engine: ``"bool"``, ``"packed"``, ``"compiled"`` or ``"auto"``
+            (resolved by :func:`~repro.circuit.power.resolve_auto`, the
+            same rule :class:`~repro.circuit.power.PowerSimulator` uses).
             The report only needs per-net *totals*, so the packed and
             compiled engines never decode dense counts: each toggle
             bit-plane collapses straight through ``popcount``
@@ -71,10 +74,9 @@ def net_power_breakdown(
     n_cycles = input_bits.shape[0] - 1
     if n_cycles < 1:
         raise ValueError("need at least 2 patterns")
-    if engine not in ("auto", "bool", "packed", "compiled"):
+    if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}")
-    if engine == "auto":
-        engine = "packed" if PACKED_AVAILABLE and n_cycles >= 64 else "bool"
+    engine = resolve_auto(engine, n_cycles)
     if engine in ("packed", "compiled") and not PACKED_AVAILABLE:
         raise ValueError(f"engine={engine!r} needs a little-endian host")
     program = compile_program(compiled) if engine == "compiled" else None

@@ -18,7 +18,7 @@ Three interchangeable kernels produce the trace (see docs/SIMULATION.md):
   :mod:`repro.circuit.program`: the packed lane layout plus fused
   (level, type) instructions and event-driven relaxation (no per-step
   full-matrix work);
-* ``engine="auto"`` (default) — packed for streams long enough to fill
+* ``engine="auto"`` (default) — compiled for streams long enough to fill
   words, boolean otherwise (and on hosts without packed support).
 
 Bit-for-bit parity between the engines is the contract: all feed the
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -70,8 +70,22 @@ DEFAULT_CHUNK_PACKED = 2048
 DEFAULT_CHUNK_COMPILED = 2048
 
 #: Streams shorter than this gain nothing from packing (the pack/unpack
-#: overhead exceeds one word's worth of lane parallelism).
-AUTO_PACKED_MIN_CYCLES = 64
+#: overhead exceeds one word's worth of lane parallelism), so ``auto``
+#: runs them on the boolean engine and longer ones on the compiled tape.
+AUTO_MIN_CYCLES = 64
+
+
+def resolve_auto(engine: str, n_cycles: int) -> str:
+    """The concrete engine ``engine`` names for ``n_cycles`` transitions.
+
+    The one ``"auto"`` rule, shared by :class:`PowerSimulator` and the
+    hotspot report; any other name is returned unchanged.
+    """
+    if engine != "auto":
+        return engine
+    if PACKED_AVAILABLE and n_cycles >= AUTO_MIN_CYCLES:
+        return "compiled"
+    return "bool"
 
 
 @dataclass(frozen=True)
@@ -148,10 +162,11 @@ class PowerSimulator:
             eighth of that packed).  ``None`` picks an engine-appropriate
             default.
         engine: ``"bool"``, ``"packed"``, ``"compiled"`` or ``"auto"``
-            (see module doc).  ``"compiled"`` is opt-in: it shares the
-            packed lane layout (and its little-endian requirement) and is
-            the fastest on long streams, but ``"auto"`` stays conservative
-            and resolves to ``"packed"``.
+            (see module doc).  ``"auto"`` resolves to ``"compiled"`` — the
+            fastest engine on long streams, sharing the packed lane layout
+            and its little-endian requirement — for streams of at least
+            :data:`AUTO_MIN_CYCLES` transitions, and to ``"bool"`` below
+            that.
 
     Attributes:
         last_stats: :class:`SimulationStats` of the most recent
@@ -198,10 +213,10 @@ class PowerSimulator:
             )
         self.engine = engine
         self.last_stats: Optional[SimulationStats] = None
-        # Reusable buffers of the compiled engine's fused native path,
-        # keyed by (n_lanes, n_words); see _fused_buffers.
-        self._fused_cache: Dict[Tuple[int, int], Tuple[
-            np.ndarray, np.ndarray, np.ndarray]] = {}
+        # Flat reusable buffers of the compiled engine's fused native
+        # path, sized for _fused_words packed words; see _fused_buffers.
+        self._fused_words = 0
+        self._fused_flat: Tuple[np.ndarray, ...] = ()
 
     @property
     def n_inputs(self) -> int:
@@ -210,11 +225,7 @@ class PowerSimulator:
     # ------------------------------------------------------------------
     def resolve_engine(self, n_cycles: int) -> str:
         """The engine a stream of ``n_cycles`` transitions would use."""
-        if self.engine != "auto":
-            return self.engine
-        if PACKED_AVAILABLE and n_cycles >= AUTO_PACKED_MIN_CYCLES:
-            return "packed"
-        return "bool"
+        return resolve_auto(self.engine, n_cycles)
 
     def _resolve_chunk(self, engine: str) -> int:
         if self.chunk_size is not None:
@@ -496,26 +507,35 @@ class PowerSimulator:
     def _fused_buffers(
         self, program, n_lanes: int, n_words: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Persistent per-(lanes, words) buffers for the fused native path.
+        """Persistent buffers for the fused native path.
 
         One plane buffer, one float64 count matrix and one uint32 totals
         vector, reused across chunks: fresh multi-MB allocations per
         chunk thrash the allocator and roughly triple the decode +
-        convert cost in sustained runs.
+        convert cost in sustained runs.  Each is kept flat with room for
+        ``n_words * 64`` lanes, grown only when a chunk needs more words,
+        and handed out as a C-contiguous prefix view of this chunk's
+        shape — so streams whose chunks differ by a few lanes (a
+        characterization's 999-cycle first batch, then 1000-cycle ones)
+        share one allocation.
         """
-        key = (n_lanes, n_words)
-        bufs = self._fused_cache.get(key)
-        if bufs is None:
-            bufs = (
-                np.zeros(
-                    (program.max_planes, program.n_rows, n_words),
-                    dtype=np.uint64,
-                ),
-                np.empty((self.compiled.n_nets, n_lanes), dtype=np.float64),
-                np.empty(n_lanes, dtype=np.uint32),
+        plane_words = program.max_planes * program.n_rows
+        n_nets = self.compiled.n_nets
+        if n_words > self._fused_words:
+            self._fused_flat = (
+                np.zeros(plane_words * n_words, dtype=np.uint64),
+                np.empty(n_nets * 64 * n_words, dtype=np.float64),
+                np.empty(64 * n_words, dtype=np.uint32),
             )
-            self._fused_cache[key] = bufs
-        return bufs
+            self._fused_words = n_words
+        planes, counts, totals = self._fused_flat
+        return (
+            planes[: plane_words * n_words].reshape(
+                program.max_planes, program.n_rows, n_words
+            ),
+            counts[: n_nets * n_lanes].reshape(n_nets, n_lanes),
+            totals[:n_lanes],
+        )
 
     def average_charge(self, input_bits: np.ndarray) -> float:
         """Convenience: mean per-cycle charge over a stream."""

@@ -78,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="simulation kernel: bit-packed uint64 lanes "
                         "('packed'), byte-per-value ('bool'), the "
                         "straight-line instruction tape ('compiled', "
-                        "fastest on long streams), or pick per stream "
-                        "('auto'); results are bit-identical")
+                        "fastest on long streams), or 'auto' (compiled, "
+                        "bool below 64 transitions); results are "
+                        "bit-identical")
     p.add_argument("--jobs", type=int, default=1,
                    help="characterize jobs in parallel with this many "
                         "worker processes")

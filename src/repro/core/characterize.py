@@ -30,8 +30,9 @@ from .hd_model import HdPowerModel
 #: generators.  Bump whenever a change alters characterization results for
 #: an unchanged configuration — the persistent model cache
 #: (:mod:`repro.runtime.cache`) keys on it, so bumping invalidates every
-#: stale cache entry at once.
-CHARACTERIZATION_VERSION = "2"
+#: stale cache entry at once.  "3": the stimulus generators draw whole
+#: arrays at once (a different RNG stream, the same distribution).
+CHARACTERIZATION_VERSION = "3"
 
 
 @dataclass
@@ -75,6 +76,19 @@ def random_input_bits(
     return rng.integers(0, 2, size=(n_patterns, width), dtype=np.int8).astype(bool)
 
 
+def _subset_masks(
+    rng: np.random.Generator, sizes: np.ndarray, width: int
+) -> np.ndarray:
+    """One uniformly random ``sizes[i]``-subset of ``width`` bits per row.
+
+    Each row's float keys rank its bit positions in uniformly random
+    order, so the positions ranked first (``rank < size``) form a subset
+    drawn uniformly among all subsets of that size.
+    """
+    keys = rng.random((len(sizes), width))
+    return keys.argsort(axis=1) < sizes[:, None]
+
+
 def uniform_hd_input_bits(
     n_patterns: int, width: int, seed: int = 0
 ) -> np.ndarray:
@@ -90,18 +104,17 @@ def uniform_hd_input_bits(
     distribution as the plain random stream — so the fitted ``p_i`` are
     unbiased while every class receives ``~n/m`` samples (importance
     sampling over event classes).
+
+    The whole walk is drawn at once: every step's ``h`` and toggle mask,
+    then a cumulative XOR from the start vector.
     """
     rng = np.random.default_rng(seed)
-    bits = np.empty((max(n_patterns, 1), width), dtype=bool)
-    current = rng.integers(0, 2, size=width).astype(bool)
-    bits[0] = current
-    for j in range(1, len(bits)):
-        h = int(rng.integers(1, width + 1))
-        positions = rng.choice(width, size=h, replace=False)
-        current = current.copy()
-        current[positions] = ~current[positions]
-        bits[j] = current
-    return bits[:n_patterns]
+    n_rows = max(n_patterns, 1)
+    steps = np.empty((n_rows, width), dtype=bool)
+    steps[0] = rng.integers(0, 2, size=width, dtype=bool)
+    hd = rng.integers(1, width + 1, size=n_rows - 1)
+    steps[1:] = _subset_masks(rng, hd, width)
+    return np.logical_xor.accumulate(steps, axis=0)[:n_patterns]
 
 
 def corner_input_bits(
@@ -112,38 +125,28 @@ def corner_input_bits(
     Uniform random patterns almost never produce transitions where *all*
     non-switching bits are 0 (or all are 1) — exactly the subclasses the
     enhanced model's Figure-2 curves need.  This stream emits pairs
-    ``(u, u ^ mask)`` whose support is a random subset ``S`` while the bits
-    outside ``S`` are all-zero, all-one or random, cycling through the three
-    fill styles.
+    ``(u, u ^ S)`` whose support ``S`` is a uniformly random subset of
+    uniformly random size ``1..m``.  ``u`` is random on ``S``; the bits
+    outside ``S`` are all-zero, all-one or random, cycling through the
+    three fill styles by pair index.
     """
     rng = np.random.default_rng(seed)
-    # Always generate whole (u, v) pairs: with an odd ``n_patterns`` a
-    # half-open pair would otherwise leave the preallocated last row
-    # all-zeros, injecting a spurious vector (and a fake high-Hd seam
-    # transition) into the stream.  Rounding up and truncating keeps the
-    # requested length while the dangling row is a legitimate pair head.
+    # Always generate whole (u, v) pairs and truncate: an odd
+    # ``n_patterns`` then yields a strict prefix of the next even stream
+    # (the dangling row is a legitimate pair head, never a spurious
+    # vector or a fake high-Hd seam transition).
     size = max(n_patterns, 2)
     size += size % 2
-    bits = np.zeros((size, width), dtype=bool)
-    row = 0
-    style = 0
-    while row + 1 < len(bits):
-        hd = int(rng.integers(1, width + 1))
-        support = rng.choice(width, size=hd, replace=False)
-        if style == 0:
-            fill = np.zeros(width, dtype=bool)
-        elif style == 1:
-            fill = np.ones(width, dtype=bool)
-        else:
-            fill = rng.integers(0, 2, size=width).astype(bool)
-        style = (style + 1) % 3
-        u = fill.copy()
-        u[support] = rng.integers(0, 2, size=hd).astype(bool)
-        v = u.copy()
-        v[support] = ~v[support]
-        bits[row] = u
-        bits[row + 1] = v
-        row += 2
+    n_pairs = size // 2
+    hd = rng.integers(1, width + 1, size=n_pairs)
+    support = _subset_masks(rng, hd, width)
+    u = rng.integers(0, 2, size=(n_pairs, width), dtype=bool)
+    style = np.arange(n_pairs) % 3
+    u[style == 0] &= support[style == 0]
+    u[style == 1] |= ~support[style == 1]
+    bits = np.empty((size, width), dtype=bool)
+    bits[0::2] = u
+    bits[1::2] = u ^ support
     return bits[:n_patterns]
 
 
@@ -204,9 +207,11 @@ def characterize_module(
         max_patterns: Hard budget; defaults to ``4 * n_patterns``.
         engine: Simulation kernel (``"auto"``, ``"bool"``, ``"packed"``
             or ``"compiled"``, see
-            :class:`~repro.circuit.power.PowerSimulator`).  Engines are
-            bit-identical by contract, so this never changes the fitted
-            coefficients — only how fast the reference charges arrive.
+            :class:`~repro.circuit.power.PowerSimulator`); ``"auto"``
+            runs the compiled tape on every batch of 64 or more
+            transitions.  Engines are bit-identical by contract, so this
+            never changes the fitted coefficients — only how fast the
+            reference charges arrive.
 
     Returns:
         A :class:`CharacterizationResult`.
@@ -255,16 +260,19 @@ def characterize_module(
         while consumed < max_patterns:
             batch = min(batch_size, max_patterns - consumed)
             with span("characterize.batch", rows=batch):
-                bits = make_bits(
-                    batch, width, seed=int(rng.integers(0, 2**31))
-                )
+                with span("characterize.stimulus", rows=batch):
+                    bits = make_bits(
+                        batch, width, seed=int(rng.integers(0, 2**31))
+                    )
+                EVENTS.stimulus_rows.inc(len(bits))
                 if last_vector is not None:
                     # Stitch batches so no transition is lost at the seam.
                     bits = np.vstack([last_vector[None, :], bits])
                 last_vector = bits[-1]
                 consumed += batch
                 trace = simulator.simulate(bits)
-                events = classify_transitions(bits)
+                with span("characterize.classify"):
+                    events = classify_transitions(bits)
                 accumulator.update(
                     events.hd, events.stable_zeros, trace.charge
                 )

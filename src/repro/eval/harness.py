@@ -54,8 +54,9 @@ class ExperimentConfig:
             literal stream).
         enhanced_stimulus: Characterization stream for the enhanced model.
         engine: Simulation kernel ("auto", "bool", "packed" or
-            "compiled").  Engines are bit-identical, so this is a speed
-            knob, not a provenance knob — the persistent cache
+            "compiled"; "auto" runs the compiled tape on streams of 64
+            or more transitions).  Engines are bit-identical, so this
+            is a speed knob, not a provenance knob — the persistent cache
             deliberately excludes it from its keys (see
             :func:`repro.runtime.cache._config_payload`).
         self_check: When True, every freshly simulated evaluation trace

@@ -7,8 +7,9 @@ returns their rendered forms; the CLI exposes it as
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Iterable, Tuple
 
+from ..core.characterize import CHARACTERIZATION_VERSION
 from .concepts import render_figure5, render_figure7, render_figure8
 from .figures import figure1, figure2, figure3_complexity, figure4, figure6, figure9
 from .harness import ExperimentConfig, Harness
@@ -24,10 +25,10 @@ from .report import (
 from .tables import table1, table2, table3
 
 
-def reproduce_all(
+def scale_settings(
     scale: str = "full", seed: int = 1999
-) -> Dict[str, str]:
-    """Regenerate every table and figure; returns rendered text per id.
+) -> Tuple[ExperimentConfig, int, int]:
+    """``(config, prototype patterns, Figure-9 samples)`` of a report scale.
 
     Args:
         scale: ``"full"`` (paper-scale pattern counts) or ``"small"``.
@@ -37,14 +38,23 @@ def reproduce_all(
         config = ExperimentConfig(
             n_characterization=1500, n_eval=1500, seed=seed
         )
-        n_protos = 1200
-        n_fig9 = 3000
-    else:
-        config = ExperimentConfig(
-            n_characterization=5000, n_eval=5000, seed=seed
-        )
-        n_protos = 4000
-        n_fig9 = 10000
+        return config, 1200, 3000
+    config = ExperimentConfig(
+        n_characterization=5000, n_eval=5000, seed=seed
+    )
+    return config, 4000, 10000
+
+
+def reproduce_all(
+    scale: str = "full", seed: int = 1999
+) -> Dict[str, str]:
+    """Regenerate every table and figure; returns rendered text per id.
+
+    Args:
+        scale: ``"full"`` (paper-scale pattern counts) or ``"small"``.
+        seed: Base seed for the experiment harness.
+    """
+    config, n_protos, n_fig9 = scale_settings(scale, seed)
     harness = Harness(config)
 
     sections: Dict[str, str] = {}
@@ -68,12 +78,9 @@ def reproduce_all(
     fig4_lines = ["Figure 4: instance vs regressed coefficients"]
     for series in figure4(harness, n_prototype_patterns=n_protos):
         fig4_lines.append(f"  {series.kind} p_{series.class_index}")
-        fig4_lines.append(f"    instance: "
-                          f"{[round(v, 1) for v in series.instance]}")
+        fig4_lines.append(f"    instance: {_values(series.instance)}")
         for subset, values in series.regression.items():
-            fig4_lines.append(
-                f"    {subset:3s}     : {[round(v, 1) for v in values]}"
-            )
+            fig4_lines.append(f"    {subset:3s}     : {_values(values)}")
     sections["figure4"] = "\n".join(fig4_lines)
 
     fig9 = figure9(n=n_fig9, seed=seed)
@@ -83,6 +90,11 @@ def reproduce_all(
     sections["figure8"] = render_figure8(fig9.dbt)
     sections["figure9"] = render_figure9(fig9)
     return sections
+
+
+def _values(values: Iterable[float]) -> str:
+    """``[98.1, 186.5, ...]``: one decimal, no numpy scalar reprs."""
+    return "[" + ", ".join(f"{float(v):.1f}" for v in values) + "]"
 
 
 def render_report(sections: Dict[str, str]) -> str:
@@ -96,7 +108,10 @@ def render_report(sections: Dict[str, str]) -> str:
         "Reproduction report: 'A New Parameterizable Power Macro-Model "
         "for Datapath Components' (DATE 1999)"
     )
-    parts = [banner, "=" * len(banner)]
+    parts = [
+        banner, "=" * len(banner),
+        f"characterization version {CHARACTERIZATION_VERSION}",
+    ]
     for key in order:
         if key in sections:
             parts.append("")

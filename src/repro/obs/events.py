@@ -384,6 +384,10 @@ class EventCounters:
             "repro_characterize_patterns_total",
             "Stimulus patterns consumed by characterization runs.",
         )
+        self.stimulus_rows = r.counter(
+            "repro_stimulus_rows_total",
+            "Stimulus rows generated for characterization batches.",
+        )
         # Persistent model cache (repro.runtime.cache).
         self.cache_lookups = r.counter(
             "repro_cache_lookups_total",

