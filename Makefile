@@ -13,8 +13,8 @@ test:
 test-all:
 	pytest tests/ -m ''
 
-# Differential fuzzing: bool vs packed vs compiled engines vs the
-# pure-Python oracle, plus the metamorphic relations
+# Differential fuzzing: the compiled engine vs the boolean reference
+# kernels vs the pure-Python oracle, plus the metamorphic relations
 # (docs/VERIFICATION.md).  Seeded, so a given budget/seed pair is fully
 # reproducible.  The nightly-scale invocation is:
 #   python -m repro.cli verify fuzz --budget 100000
@@ -31,9 +31,10 @@ bench:
 bench-small:
 	REPRO_BENCH_SCALE=small pytest benchmarks/ --benchmark-only -s
 
-# Simulation kernel comparison (bool vs bit-packed vs compiled engine)
-# on a 16-bit multiplier; verifies bit-for-bit parity and appends the
-# speedups to BENCH_simulate.json.
+# Simulation kernel comparison (boolean reference vs the compiled engine
+# on its numpy fallback and its native backend) on a 16-bit multiplier;
+# verifies bit-for-bit parity and appends the speedups to
+# BENCH_simulate.json.
 bench-sim:
 	PYTHONPATH=src python benchmarks/bench_simulate.py
 

@@ -1,8 +1,8 @@
 """Deprecation shims for the PR-5 API renames.
 
 The facade normalized parameter spellings across layers
-(``simulation_engine=`` → ``engine=``, ``n_jobs=`` → ``jobs=``, and
-``characterize_jobs(jobs=[...])`` → ``requests=[...]``).  Old keywords
+(``n_jobs=`` → ``jobs=`` and ``characterize_jobs(jobs=[...])`` →
+``requests=[...]``).  Old keywords
 keep working through :func:`warn_once`, which emits each distinct
 deprecation exactly once per process so a tight loop over a legacy
 call site doesn't flood stderr.

@@ -4,7 +4,7 @@ Callers previously stitched together four layers by hand —
 ``characterize_module`` for fitting, ``PowerEstimator`` for applying,
 ``ModelRegistry`` for materialization and ``ModelCache`` for
 persistence.  :class:`Session` wraps them behind one object with the
-normalized parameter spellings (``engine=``, ``jobs=``, ``enhanced=``)::
+normalized parameter spellings (``jobs=``, ``enhanced=``)::
 
     import repro
 
@@ -33,7 +33,6 @@ table.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, Optional, Sequence, Union
 
 import numpy as np
@@ -57,15 +56,11 @@ class Session:
             simulates; pass a path (or ``"default"`` for the standard
             ``~/.cache/repro-hd`` location) to enable
             characterize-once/evaluate-many.
-        engine: Simulation kernel: ``"auto"`` (default), ``"bool"``,
-            ``"packed"`` or ``"compiled"``.  Engines are bit-identical
-            by contract; this is a speed knob.
         jobs: Worker processes for multi-module characterization fan-out
             (``Session.characterize_many``); single characterizations run
             inline.
         config: Optional :class:`~repro.eval.harness.ExperimentConfig`
-            overriding every knob at once; ``engine=`` still wins for the
-            kernel selection.
+            overriding every knob at once.
         enhanced: Fit/serve the enhanced (stable-zeros) model by default;
             per-call ``enhanced=`` arguments override.
     """
@@ -73,15 +68,11 @@ class Session:
     def __init__(
         self,
         cache_dir: Optional[str] = None,
-        engine: Optional[str] = None,
         jobs: Any = 1,
         config: Any = None,
         enhanced: bool = False,
         **legacy,
     ):
-        engine = pop_renamed_kwarg(
-            legacy, "simulation_engine", "engine", "Session", engine
-        )
         jobs_value = pop_renamed_kwarg(
             legacy, "n_jobs", "jobs", "Session",
             jobs if jobs != 1 else None,
@@ -96,8 +87,6 @@ class Session:
             from .eval.harness import ExperimentConfig
 
             config = ExperimentConfig()
-        if engine is not None:
-            config = dataclasses.replace(config, engine=engine)
         self.config = config
         self.jobs = int(jobs)
         if self.jobs < 1:
@@ -320,6 +309,5 @@ class Session:
             str(self.cache.directory) if self.cache is not None else None
         )
         return (
-            f"Session(engine={self.config.engine!r}, jobs={self.jobs}, "
-            f"cache={cache!r})"
+            f"Session(jobs={self.jobs}, cache={cache!r})"
         )

@@ -14,13 +14,11 @@ from .packed import (
     PACKED_AVAILABLE,
     ToggleAccumulator,
     pack_lanes,
-    packed_functional_values,
-    packed_unit_delay_transition,
     popcount,
     unpack_lanes,
 )
 from .native import native_status
-from .power import ENGINES, PowerSimulator, PowerTrace, SimulationStats
+from .power import PowerSimulator, PowerTrace, SimulationStats
 from .program import BitwiseProgram, compile_program
 from .simulate import (
     evaluate_outputs,
@@ -37,7 +35,6 @@ __all__ = [
     "CONST0",
     "CONST1",
     "CompiledNetlist",
-    "ENGINES",
     "Gate",
     "GateType",
     "GATE_TYPES",
@@ -58,8 +55,6 @@ __all__ = [
     "native_status",
     "net_power_breakdown",
     "pack_lanes",
-    "packed_functional_values",
-    "packed_unit_delay_transition",
     "popcount",
     "render_hotspots",
     "unpack_lanes",

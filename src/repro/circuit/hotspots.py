@@ -10,22 +10,14 @@ simulation while accumulating per-net charge, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .compiled import CompiledNetlist
 from .netlist import Netlist
-from .packed import (
-    PACKED_AVAILABLE,
-    n_words_for,
-    pack_lanes,
-    packed_functional_values,
-    packed_unit_delay_transition,
-)
-from .power import ENGINES, resolve_auto
+from .packed import PACKED_AVAILABLE, n_words_for, pack_lanes
 from .program import compile_program
-from .simulate import functional_values, unit_delay_transition
 
 
 @dataclass(frozen=True)
@@ -44,24 +36,21 @@ def net_power_breakdown(
     input_bits: np.ndarray,
     top: Optional[int] = None,
     chunk_size: int = 2048,
-    engine: str = "auto",
 ) -> List[NetHotspot]:
     """Per-net charge over a stimulus stream, ranked descending.
+
+    Runs the compiled instruction tape.  The report only needs per-net
+    *totals*, so it never decodes dense counts: each toggle bit-plane
+    collapses straight through ``popcount``
+    (:meth:`~repro.circuit.packed.ToggleAccumulator.per_row_totals`), and
+    the program-order totals are permuted back to net order through
+    ``row_of_net``.
 
     Args:
         netlist: Module netlist (raw or compiled).
         input_bits: ``[n, m]`` input vector stream.
         top: Keep only the ``top`` hottest nets (all when None).
         chunk_size: Vectorization batch size.
-        engine: ``"bool"``, ``"packed"``, ``"compiled"`` or ``"auto"``
-            (resolved by :func:`~repro.circuit.power.resolve_auto`, the
-            same rule :class:`~repro.circuit.power.PowerSimulator` uses).
-            The report only needs per-net *totals*, so the packed and
-            compiled engines never decode dense counts: each toggle
-            bit-plane collapses straight through ``popcount``
-            (:meth:`ToggleAccumulator.per_row_totals`; the compiled
-            engine's program-order totals are permuted back to net
-            order through ``row_of_net``).
 
     Returns:
         :class:`NetHotspot` list sorted by charge, highest first.
@@ -74,45 +63,19 @@ def net_power_breakdown(
     n_cycles = input_bits.shape[0] - 1
     if n_cycles < 1:
         raise ValueError("need at least 2 patterns")
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}")
-    engine = resolve_auto(engine, n_cycles)
-    if engine in ("packed", "compiled") and not PACKED_AVAILABLE:
-        raise ValueError(f"engine={engine!r} needs a little-endian host")
-    program = compile_program(compiled) if engine == "compiled" else None
+    if not PACKED_AVAILABLE:
+        raise ValueError("the hotspot report needs a little-endian host")
+    program = compile_program(compiled)
     toggles_total = np.zeros(compiled.n_nets, dtype=np.int64)
     for start in range(0, n_cycles, chunk_size):
         stop = min(start + chunk_size, n_cycles)
-        if engine == "compiled":
-            n_lanes = stop - start
-            n_words = n_words_for(n_lanes)
-            old_packed = pack_lanes(input_bits[start:stop].T, n_words)
-            new_packed = pack_lanes(
-                input_bits[start + 1 : stop + 1].T, n_words
-            )
-            settled = program.settle(old_packed, n_words)
-            _, accumulator, _ = program.relax(settled, new_packed)
-            row_totals = accumulator.per_row_totals(program.n_rows)
-            toggles_total += row_totals[program.row_of_net]
-            continue
-        if engine == "packed":
-            n_lanes = stop - start
-            n_words = n_words_for(n_lanes)
-            old_packed = pack_lanes(input_bits[start:stop].T, n_words)
-            new_packed = pack_lanes(
-                input_bits[start + 1 : stop + 1].T, n_words
-            )
-            settled = packed_functional_values(compiled, old_packed, n_words)
-            _, accumulator = packed_unit_delay_transition(
-                compiled, settled, new_packed
-            )
-            toggles_total += accumulator.per_row_totals(compiled.n_nets)
-            continue
-        settled = functional_values(compiled, input_bits[start:stop])
-        _, toggles = unit_delay_transition(
-            compiled, settled, input_bits[start + 1 : stop + 1]
-        )
-        toggles_total += toggles.sum(axis=1, dtype=np.int64)
+        n_words = n_words_for(stop - start)
+        old_packed = pack_lanes(input_bits[start:stop].T, n_words)
+        new_packed = pack_lanes(input_bits[start + 1 : stop + 1].T, n_words)
+        settled = program.settle(old_packed, n_words)
+        _, accumulator, _ = program.relax(settled, new_packed)
+        row_totals = accumulator.per_row_totals(program.n_rows)
+        toggles_total += row_totals[program.row_of_net]
     charge = toggles_total * compiled.net_caps
     total = float(charge.sum()) or 1.0
     order = np.argsort(charge)[::-1]

@@ -21,8 +21,11 @@ Design constraints:
   ``gcc`` or ``clang``) into a user-cache shared object keyed by a
   source hash, and loaded with :mod:`ctypes` — no build-time step, no
   new dependencies.  Any failure (no compiler, sandboxed filesystem,
-  odd libc) degrades silently to the numpy path, as does setting
-  ``REPRO_NATIVE=0``.  ``native_status()`` reports which path is live.
+  odd libc) degrades to the numpy path with one ``RuntimeWarning`` per
+  process; setting ``REPRO_NATIVE=0`` (or ``set_native_enabled(False)``)
+  picks that path on purpose, silently.  ``native_status()`` reports
+  which path is live, and the ``repro_native_backend`` gauge exposes it
+  as ``status="native|numpy|disabled"``.
 * **Small surface.**  Only the relaxation inner loop is native; settle,
   decode and the shared charge accounting stay in numpy where the
   engine-parity contract is enforced.
@@ -39,11 +42,15 @@ import os
 import shutil
 import subprocess
 import tempfile
+import warnings
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 import numpy.ctypeslib as npct
+
+from ..obs.events import EVENTS
 
 __all__ = [
     "CLASS_CODES",
@@ -52,6 +59,7 @@ __all__ = [
     "native_decode",
     "native_kernel",
     "native_status",
+    "numpy_fallback",
     "relax_native",
     "set_native_enabled",
 ]
@@ -299,6 +307,9 @@ def _build_library() -> Optional[Path]:
         src_path.write_text(_SOURCE)
         fd, tmp_name = tempfile.mkstemp(suffix=".so", dir=str(cache))
         os.close(fd)
+    except OSError:
+        return None
+    try:
         subprocess.run(
             [cc, "-O2", "-shared", "-fPIC", "-o", tmp_name, str(src_path)],
             check=True, capture_output=True, timeout=120,
@@ -306,6 +317,10 @@ def _build_library() -> Optional[Path]:
         os.replace(tmp_name, so_path)  # atomic w.r.t. concurrent builders
         return so_path
     except (OSError, subprocess.SubprocessError):
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
         return None
 
 
@@ -322,6 +337,37 @@ _DECODE = False
 _STATUS = "unresolved"
 #: Programmatic gate override: None defers to $REPRO_NATIVE, True/False wins.
 _FORCED: Optional[bool] = None
+#: Whether the fallback warning has fired in this process.
+_WARNED = False
+#: The status last written to the repro_native_backend gauge.
+_PUBLISHED: Optional[str] = None
+
+#: Label values of the repro_native_backend gauge.
+BACKEND_STATES = ("native", "numpy", "disabled")
+
+
+def _publish(status: str) -> None:
+    """Point the ``repro_native_backend`` gauge at ``status``."""
+    global _PUBLISHED
+    if status == _PUBLISHED:
+        return
+    _PUBLISHED = status
+    for name in BACKEND_STATES:
+        EVENTS.native_backend.set(float(name == status), status=name)
+
+
+def _fall_back(status: str) -> None:
+    """Record a failed resolution; warn the first time per process."""
+    global _KERNEL, _DECODE, _STATUS, _WARNED
+    _KERNEL, _DECODE, _STATUS = None, None, status
+    if not _WARNED:
+        _WARNED = True
+        warnings.warn(
+            f"native backend unavailable ({status}); the compiled engine "
+            "runs its slower numpy fallback.  Set REPRO_NATIVE=0 to "
+            "choose the fallback on purpose.",
+            RuntimeWarning, stacklevel=3,
+        )
 
 
 def _gate_disabled() -> bool:
@@ -351,6 +397,19 @@ def set_native_enabled(enabled: Optional[bool]) -> None:
     _FORCED = enabled
 
 
+@contextmanager
+def numpy_fallback() -> Iterator[None]:
+    """Run the block with the native backend switched off, then restore
+    whatever gate was in force (the fuzzer's numpy-vs-native check)."""
+    global _FORCED
+    previous = _FORCED
+    _FORCED = False
+    try:
+        yield
+    finally:
+        _FORCED = previous
+
+
 def native_kernel():
     """The loaded C relax function, or ``None`` when unavailable.
 
@@ -359,15 +418,22 @@ def native_kernel():
     gate is re-evaluated on every call (``0``/``false``/``off``
     disables).
     """
-    global _KERNEL, _DECODE, _STATUS
     if _gate_disabled():
+        _publish("disabled")
         return None
-    if _KERNEL is not False:
-        return _KERNEL
+    if _KERNEL is False:
+        _resolve()
+    _publish("numpy" if _KERNEL is None else "native")
+    return _KERNEL
+
+
+def _resolve() -> None:
+    """Build and load the library once, setting the lazy singletons."""
+    global _KERNEL, _DECODE, _STATUS
     so_path = _build_library()
     if so_path is None:
-        _KERNEL, _DECODE, _STATUS = None, None, "no compiler or build failed"
-        return None
+        _fall_back("no compiler or build failed")
+        return
     try:
         lib = ctypes.CDLL(str(so_path))
         fn = lib.repro_relax
@@ -388,10 +454,9 @@ def native_kernel():
         ]
         dec.restype = None
     except (OSError, AttributeError):
-        _KERNEL, _DECODE, _STATUS = None, None, f"failed to load {so_path}"
-        return None
+        _fall_back(f"failed to load {so_path}")
+        return
     _KERNEL, _DECODE, _STATUS = fn, dec, f"native ({so_path})"
-    return fn
 
 
 def native_decode():

@@ -1,47 +1,43 @@
-"""Bit-packed simulation kernels: 64 transitions per ``uint64`` word.
+"""Bit-packed lanes: 64 transitions per ``uint64`` word.
 
-The boolean engine in :mod:`repro.circuit.simulate` stores one net value per
-byte in ``[n_nets, n_patterns]`` matrices; every relaxation step copies,
-compares and accumulates over that full byte matrix.  This module packs the
-*pattern* axis instead — lane ``k`` of word ``w`` is pattern ``64 * w + k`` —
-so the same gate groups evaluate 64 patterns per machine word with plain
-bitwise numpy ops (every library cell in :mod:`repro.circuit.technology` is
-already expressed with ``&``, ``|``, ``^``, ``~``, which operate bit-parallel
-on ``uint64`` exactly as they do element-wise on booleans).
+The boolean kernels in :mod:`repro.circuit.simulate` store one net value
+per byte in ``[n_nets, n_patterns]`` matrices.  The compiled instruction
+tape (:mod:`repro.circuit.program`) packs the *pattern* axis instead —
+lane ``k`` of word ``w`` is pattern ``64 * w + k`` — so each gate group
+evaluates 64 patterns per machine word with plain bitwise ops.  This
+module holds the lane utilities it runs on: packing, unpacking, single
+lane access, popcount and the bit-sliced toggle counters.
 
-Toggle counting is the part that needs care: the unit-delay engine counts
-*how many times* each net changed per transition, but a packed change mask
-carries only one bit per (net, lane).  :class:`ToggleAccumulator` therefore
-keeps the per-lane counters *bit-sliced*: plane ``p`` holds bit ``p`` of
-every counter, and folding in a step's change mask is a ripple-carry add of
-one bit — a handful of XOR/AND passes instead of a full ``uint32`` matrix
-add.  Aggregates over lanes come out via :func:`popcount`
-(``np.bitwise_count`` where numpy provides it, an 8-bit LUT otherwise);
-dense per-(net, transition) counts, needed for the capacitance-weighted
-charge trace, are decoded once per chunk from ``log2(max toggles)`` planes.
+Toggle counting is the part that needs care: the unit-delay relaxation
+counts *how many times* each net changed per transition, but a packed
+change mask carries only one bit per (net, lane).
+:class:`ToggleAccumulator` therefore keeps the per-lane counters
+*bit-sliced*: plane ``p`` holds bit ``p`` of every counter, and folding
+in a step's change mask is a ripple-carry add of one bit — a handful of
+XOR/AND passes instead of a full ``uint32`` matrix add.  Aggregates over
+lanes come out via :func:`popcount` (``np.bitwise_count`` where numpy
+provides it, an 8-bit LUT otherwise); dense per-(net, transition)
+counts, needed for the capacitance-weighted charge trace, are decoded
+once per chunk from ``log2(max toggles)`` planes.
 
 Packing relies on little-endian byte order (an 8-byte view of the
-``np.packbits(..., bitorder="little")`` stream maps lane ``k`` to bit ``k``
-of the word); :data:`PACKED_AVAILABLE` is False on big-endian hosts and the
-engine selector falls back to the boolean kernels there.
+``np.packbits(..., bitorder="little")`` stream maps lane ``k`` to bit
+``k`` of the word); :data:`PACKED_AVAILABLE` is False on big-endian
+hosts, where :class:`~repro.circuit.power.PowerSimulator` falls back to
+the boolean kernels.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
-
-from .compiled import CompiledNetlist
-from .netlist import CONST1
 
 #: Lanes per machine word.
 WORD_BITS = 64
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-#: Whether the packed engine can run on this host (the uint64 lane layout
+#: Whether the packed lane layout works on this host (the uint64 lane layout
 #: assumes little-endian byte order; every mainstream CPython platform is).
 PACKED_AVAILABLE = sys.byteorder == "little"
 
@@ -136,7 +132,7 @@ class ToggleAccumulator:
     ripple-carry add; planes grow on demand, so the counter width always
     fits the deepest relaxation actually observed (``ceil(log2(steps + 1))``
     planes — a handful, versus one full ``uint32`` matrix add per step in
-    the boolean engine).
+    the boolean kernels).
     """
 
     def __init__(self) -> None:
@@ -188,95 +184,3 @@ class ToggleAccumulator:
                 power
             )
         return totals.astype(np.int64)
-
-
-# ----------------------------------------------------------------------
-# Packed engines
-# ----------------------------------------------------------------------
-def packed_initial_values(
-    compiled: CompiledNetlist, n_words: int
-) -> np.ndarray:
-    """Fresh packed value matrix with constants preset in every lane."""
-    values = np.zeros((compiled.n_nets, n_words), dtype=np.uint64)
-    values[CONST1] = _ALL_ONES
-    return values
-
-
-def packed_functional_values(
-    compiled: CompiledNetlist, packed_inputs: np.ndarray, n_words: int
-) -> np.ndarray:
-    """Settle the circuit under each lane's input vector (zero delay).
-
-    The packed twin of :func:`repro.circuit.simulate.functional_values`:
-    one pass over the level groups, except each numpy expression now
-    evaluates 64 patterns per word.
-    """
-    values = packed_initial_values(compiled, n_words)
-    values[compiled.input_nets] = packed_inputs
-    for group in compiled.level_groups:
-        values[group.outputs] = group.evaluate(values)
-    return values
-
-
-def packed_unit_delay_transition(
-    compiled: CompiledNetlist,
-    settled: np.ndarray,
-    new_inputs: np.ndarray,
-    max_steps: Optional[int] = None,
-    count_inputs: bool = True,
-) -> Tuple[np.ndarray, ToggleAccumulator]:
-    """Relax after an input transition, counting toggles per lane.
-
-    The packed twin of
-    :func:`repro.circuit.simulate.unit_delay_transition`: identical
-    synchronous semantics (stage all reads before any write), but change
-    detection is a word-wise XOR/compare and the per-step change masks fold
-    into a :class:`ToggleAccumulator` instead of a dense uint32 add.
-
-    Args:
-        compiled: Compiled netlist.
-        settled: ``[n_nets, n_words]`` packed settled values (not mutated).
-        new_inputs: ``[n_inputs, n_words]`` packed new input vectors.
-        max_steps: Safety bound; same default as the boolean engine.
-        count_inputs: Count the input application itself as toggles.
-
-    Returns:
-        ``(final_values, accumulator)``.
-    """
-    if max_steps is None:
-        max_steps = 4 * compiled.depth + 8
-    if settled.shape != (compiled.n_nets, new_inputs.shape[1]):
-        raise ValueError(
-            f"settled must be [{compiled.n_nets}, {new_inputs.shape[1]}], "
-            f"got {settled.shape}"
-        )
-
-    accumulator = ToggleAccumulator()
-    values = settled.copy()
-    input_nets = compiled.input_nets
-
-    input_changed = values[input_nets] ^ new_inputs
-    if count_inputs and input_changed.any():
-        changed_full = np.zeros_like(values)
-        changed_full[input_nets] = input_changed
-        accumulator.add(changed_full)
-    values[input_nets] = new_inputs
-
-    for _ in range(max_steps):
-        # Synchronous step, identical to the boolean engine: every gate
-        # reads the current snapshot, then all outputs update at once.
-        staged = [group.evaluate(values) for group in compiled.type_groups]
-        next_values = values.copy()
-        for group, result in zip(compiled.type_groups, staged):
-            next_values[group.outputs] = result
-        changed = next_values ^ values
-        if not changed.any():
-            break
-        accumulator.add(changed)
-        values = next_values
-    else:
-        raise RuntimeError(
-            f"unit-delay simulation of {compiled.netlist.name} did not "
-            f"settle within {max_steps} steps"
-        )
-    return values, accumulator

@@ -8,25 +8,23 @@ count.  Charge units are normalized (gate-capacitance units); the paper only
 ever compares relative errors against the reference simulator, never absolute
 numbers across tools.
 
-Three interchangeable kernels produce the trace (see docs/SIMULATION.md):
+The trace comes from the compiled instruction tape of
+:mod:`repro.circuit.program` (see docs/SIMULATION.md): the packed
+64-lane word layout plus fused (level, type) instructions and
+event-driven relaxation, with an optional native C backend.  Hosts
+without the little-endian lane layout (:data:`PACKED_AVAILABLE` False)
+run the byte-per-value boolean kernels of :mod:`repro.circuit.simulate`
+instead.  The same boolean kernels are the verify layer's reference
+(:func:`repro.verify.reference_trace`), run through this class's own
+chunk loop and charge accounting.
 
-* ``engine="bool"`` — the original byte-per-value matrices of
-  :mod:`repro.circuit.simulate`;
-* ``engine="packed"`` — the bit-packed kernels of
-  :mod:`repro.circuit.packed`, 64 transitions per ``uint64`` word;
-* ``engine="compiled"`` — the straight-line instruction tape of
-  :mod:`repro.circuit.program`: the packed lane layout plus fused
-  (level, type) instructions and event-driven relaxation (no per-step
-  full-matrix work);
-* ``engine="auto"`` (default) — compiled for streams long enough to fill
-  words, boolean otherwise (and on hosts without packed support).
-
-Bit-for-bit parity between the engines is the contract: all feed the
-*identical* dense toggle matrices (in net order) into the identical charge
-accounting, so ``PowerTrace.charge`` and ``total_toggles`` match exactly,
-not just to tolerance.  The parity suites in
-``tests/circuit/test_packed.py`` and ``tests/circuit/test_program.py``
-enforce this across every registered module kind.
+Bit-for-bit agreement with that reference is the contract: both kernels
+feed the *identical* dense toggle matrices (in net order) into the
+identical charge accounting, so ``PowerTrace.charge`` and
+``total_toggles`` match exactly, not just to tolerance.  The parity
+suites in ``tests/circuit/test_packed.py`` and
+``tests/circuit/test_program.py`` enforce this across every registered
+module kind.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .._compat import pop_renamed_kwarg
 from ..obs.events import EVENTS
 from ..obs.tracing import span
 from .compiled import CompiledNetlist
@@ -48,44 +45,17 @@ from .packed import (
     inject_lane,
     n_words_for,
     pack_lanes,
-    packed_functional_values,
-    packed_unit_delay_transition,
     unpack_lanes,
 )
 from .native import decode_native, native_decode, native_tables
 from .program import compile_program, decode_planes
 from .simulate import functional_values, unit_delay_transition, zero_delay_toggles
 
-#: Engine names accepted by :class:`PowerSimulator`.
-ENGINES = ("auto", "bool", "packed", "compiled")
-
-#: Default chunk sizes (transitions per vectorized batch) per engine.
-#: Equal on purpose: benchmarking showed the packed engine is *fastest* at
-#: the boolean default (the decode/accounting temporaries stay
-#: cache-resident), and identical chunk boundaries make default-configured
-#: engines bit-identical in ``charge`` too, not just in toggles (float
-#: summation order matches chunk by chunk).
-DEFAULT_CHUNK_BOOL = 2048
-DEFAULT_CHUNK_PACKED = 2048
-DEFAULT_CHUNK_COMPILED = 2048
-
-#: Streams shorter than this gain nothing from packing (the pack/unpack
-#: overhead exceeds one word's worth of lane parallelism), so ``auto``
-#: runs them on the boolean engine and longer ones on the compiled tape.
-AUTO_MIN_CYCLES = 64
-
-
-def resolve_auto(engine: str, n_cycles: int) -> str:
-    """The concrete engine ``engine`` names for ``n_cycles`` transitions.
-
-    The one ``"auto"`` rule, shared by :class:`PowerSimulator` and the
-    hotspot report; any other name is returned unchanged.
-    """
-    if engine != "auto":
-        return engine
-    if PACKED_AVAILABLE and n_cycles >= AUTO_MIN_CYCLES:
-        return "compiled"
-    return "bool"
+#: Default chunk size (transitions per vectorized batch).  Chunk
+#: boundaries fix the float summation order of the charge, so the
+#: reference and the compiled tape agree bit for bit in ``charge`` only
+#: at equal chunk size; both default to this one value.
+DEFAULT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -93,8 +63,9 @@ class SimulationStats:
     """Telemetry of one :meth:`PowerSimulator.simulate` call.
 
     Attributes:
-        engine: Resolved engine that produced the trace
-            ("bool"/"packed"/"compiled").
+        engine: Kernel that produced the trace: ``"compiled"``, or
+            ``"bool"`` for the boolean kernels (the reference, and the
+            fallback on hosts without the packed lane layout).
         n_cycles: Transitions simulated.
         total_toggles: Sum of per-cycle toggle counts over the run.
         seconds: Wall-clock time of the call.
@@ -158,15 +129,9 @@ class PowerSimulator:
             glitches inertially, so values in (0, 1) model partial swings.
             Ignored when ``glitch_aware`` is False.
         chunk_size: Transitions simulated per vectorized batch, bounding
-            peak memory (``~3 * n_nets * chunk_size`` bytes of booleans, an
-            eighth of that packed).  ``None`` picks an engine-appropriate
-            default.
-        engine: ``"bool"``, ``"packed"``, ``"compiled"`` or ``"auto"``
-            (see module doc).  ``"auto"`` resolves to ``"compiled"`` — the
-            fastest engine on long streams, sharing the packed lane layout
-            and its little-endian requirement — for streams of at least
-            :data:`AUTO_MIN_CYCLES` transitions, and to ``"bool"`` below
-            that.
+            peak memory (``~3 * n_nets * chunk_size`` bytes of booleans on
+            the boolean kernels, an eighth of that packed).  ``None``
+            picks :data:`DEFAULT_CHUNK`.
 
     Attributes:
         last_stats: :class:`SimulationStats` of the most recent
@@ -179,19 +144,7 @@ class PowerSimulator:
         glitch_aware: bool = True,
         glitch_weight: float = 1.0,
         chunk_size: Optional[int] = None,
-        engine: Optional[str] = None,
-        **legacy,
     ):
-        # PR 5 rename: ``simulation_engine=`` → ``engine=`` (warns once).
-        engine = pop_renamed_kwarg(
-            legacy, "simulation_engine", "engine", "PowerSimulator", engine
-        )
-        if legacy:
-            raise TypeError(
-                f"unexpected keyword arguments: {sorted(legacy)}"
-            )
-        if engine is None:
-            engine = "auto"
         if isinstance(netlist, CompiledNetlist):
             self.compiled = netlist
         else:
@@ -205,13 +158,6 @@ class PowerSimulator:
             if chunk_size <= 0:
                 raise ValueError("chunk_size must be positive")
         self.chunk_size = chunk_size
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        if engine in ("packed", "compiled") and not PACKED_AVAILABLE:
-            raise ValueError(
-                f"engine={engine!r} needs a little-endian host; use 'auto'"
-            )
-        self.engine = engine
         self.last_stats: Optional[SimulationStats] = None
         # Flat reusable buffers of the compiled engine's fused native
         # path, sized for _fused_words packed words; see _fused_buffers.
@@ -221,19 +167,6 @@ class PowerSimulator:
     @property
     def n_inputs(self) -> int:
         return len(self.compiled.netlist.inputs)
-
-    # ------------------------------------------------------------------
-    def resolve_engine(self, n_cycles: int) -> str:
-        """The engine a stream of ``n_cycles`` transitions would use."""
-        return resolve_auto(self.engine, n_cycles)
-
-    def _resolve_chunk(self, engine: str) -> int:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return {
-            "packed": DEFAULT_CHUNK_PACKED,
-            "compiled": DEFAULT_CHUNK_COMPILED,
-        }.get(engine, DEFAULT_CHUNK_BOOL)
 
     # ------------------------------------------------------------------
     def simulate(self, input_bits: np.ndarray) -> PowerTrace:
@@ -246,6 +179,18 @@ class PowerSimulator:
         Returns:
             A :class:`PowerTrace` with ``n_patterns - 1`` cycles.
         """
+        return self._run(
+            input_bits, "compiled" if PACKED_AVAILABLE else "bool"
+        )
+
+    def _run(self, input_bits: np.ndarray, engine: str) -> PowerTrace:
+        """The chunk loop and charge accounting, on the named kernel.
+
+        ``engine`` is ``"compiled"`` or ``"bool"``; besides
+        :meth:`simulate`, :func:`repro.verify.reference_trace` calls this
+        with ``"bool"`` so the reference shares every line of the
+        accounting.
+        """
         started = time.perf_counter()
         input_bits = np.asarray(input_bits, dtype=bool)
         if input_bits.ndim != 2 or input_bits.shape[1] != self.n_inputs:
@@ -253,7 +198,6 @@ class PowerSimulator:
                 f"expected [n, {self.n_inputs}] input bits, got {input_bits.shape}"
             )
         n_cycles = input_bits.shape[0] - 1
-        engine = self.resolve_engine(max(n_cycles, 0))
         if n_cycles < 1:
             self.last_stats = SimulationStats(
                 engine=engine, n_cycles=0, total_toggles=0,
@@ -265,10 +209,9 @@ class PowerSimulator:
         charge = np.empty(n_cycles, dtype=np.float64)
         total = np.empty(n_cycles, dtype=np.int64)
         caps = self.compiled.net_caps
-        run_chunk = {
-            "packed": self._packed_chunk,
-            "compiled": self._compiled_chunk,
-        }.get(engine, self._bool_chunk)
+        run_chunk = (
+            self._compiled_chunk if engine == "compiled" else self._bool_chunk
+        )
         # Glitch weighting needs the functional (settled-value) toggles to
         # split full swings from partial ones; weight 1.0 does not.
         need_functional = self.glitch_aware and self.glitch_weight != 1.0
@@ -276,7 +219,7 @@ class PowerSimulator:
         # final column of the previous chunk (unique fixpoint of an acyclic
         # network), so it is carried across chunks instead of re-settled.
         boundary: Optional[np.ndarray] = None
-        chunk_size = self._resolve_chunk(engine)
+        chunk_size = self.chunk_size or DEFAULT_CHUNK
         with span("sim.stream", engine=engine, n_cycles=n_cycles):
             for start in range(0, n_cycles, chunk_size):
                 stop = min(start + chunk_size, n_cycles)
@@ -298,7 +241,7 @@ class PowerSimulator:
                         # exact (counts are tiny), routes the matmul
                         # through BLAS instead of numpy's slow integer
                         # inner loop, and keeps every arithmetic step
-                        # dtype-identical for all engines (the
+                        # dtype-identical for both kernels (the
                         # bit-for-bit parity contract).
                         toggles_f = toggles.astype(np.float64)
                         functional_f = functional.astype(np.float64)
@@ -330,11 +273,11 @@ class PowerSimulator:
         return PowerTrace(charge=charge, total_toggles=total)
 
     # ------------------------------------------------------------------
-    # Engine chunk kernels.  All return the *same* dense representation —
+    # Chunk kernels.  Both return the *same* dense representation —
     # ``(toggles [n_nets, L], functional | None, boundary, pre | None)``
     # with integer counts (the exact dtype may differ; the shared
     # accounting above converts to float64 before any arithmetic) — so the
-    # charge math is shared verbatim and the engines stay bit-identical by
+    # charge math is shared verbatim and the kernels stay bit-identical by
     # construction.  ``pre`` is an optional ``(charge | None, totals)``
     # pair a kernel may supply when it can compute those cheaper than the
     # shared path: ``totals`` ([L] int64) must be exactly equal to
@@ -373,47 +316,6 @@ class PowerSimulator:
         # Input pin charging is counted in both modes.
         return toggles, None, settled_new[:, -1].copy(), None
 
-    def _packed_chunk(
-        self,
-        old_vecs: np.ndarray,
-        new_vecs: np.ndarray,
-        boundary: Optional[np.ndarray],
-        need_functional: bool,
-    ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray,
-               Optional[np.ndarray]]:
-        n_lanes = len(old_vecs)
-        n_words = n_words_for(n_lanes)
-        old_packed = pack_lanes(old_vecs.T, n_words)
-        new_packed = pack_lanes(new_vecs.T, n_words)
-        settled = packed_functional_values(self.compiled, old_packed, n_words)
-        if boundary is not None:
-            # The levelized pass settles all lanes of a word in one shot,
-            # so lane 0 costs nothing extra — but the carried column is the
-            # authoritative value, so inject it (bit-identical by the
-            # unique-fixpoint argument; keeps both engines' carry honest).
-            inject_lane(settled, 0, boundary)
-        if self.glitch_aware:
-            final, accumulator = packed_unit_delay_transition(
-                self.compiled, settled, new_packed
-            )
-            if accumulator.planes:
-                toggles = accumulator.decode(n_lanes)
-            else:
-                toggles = np.zeros(
-                    (self.compiled.n_nets, n_lanes), dtype=np.uint8
-                )
-            functional = (
-                unpack_lanes(settled ^ final, n_lanes)
-                if need_functional else None
-            )
-            return toggles, functional, extract_lane(final, n_lanes - 1), \
-                None
-        settled_new = packed_functional_values(
-            self.compiled, new_packed, n_words
-        )
-        toggles = unpack_lanes(settled ^ settled_new, n_lanes)
-        return toggles, None, extract_lane(settled_new, n_lanes - 1), None
-
     def _compiled_chunk(
         self,
         old_vecs: np.ndarray,
@@ -422,9 +324,9 @@ class PowerSimulator:
         need_functional: bool,
     ) -> Tuple[np.ndarray, Optional[np.ndarray], np.ndarray,
                Optional[np.ndarray]]:
-        # Same lane layout as the packed engine, but values live in
-        # *program row order*; everything handed back to the shared
-        # accounting is permuted to net order through row_of_net (a full
+        # Packed 64-lane words whose rows are in *program row order*;
+        # everything handed back to the shared accounting is permuted to
+        # net order through row_of_net (a full
         # permutation — lut_fold is never enabled here, it would break
         # the glitch parity contract).  Permutation happens on the packed
         # words (tiny) before any unpack/decode, never on dense matrices.

@@ -1,13 +1,13 @@
 """Compilation of netlists into straight-line bitwise programs.
 
-The packed engine (:mod:`repro.circuit.packed`) already evaluates 64
-transitions per ``uint64`` word, but its unit-delay relaxation still pays
-per-step costs proportional to the *whole* circuit: every synchronous step
-re-evaluates every type group over every gate, copies the full value
-matrix, and XOR-compares and ripple-adds all of it — even though after
-step ``t`` only nets at level ``>= t`` can still change (a level-``L``
-net depends on paths of length at most ``L``, so it is stable from step
-``L`` on).
+Packing 64 transitions per ``uint64`` word (:mod:`repro.circuit.packed`)
+is half of the speed; the other half is not paying per-step costs
+proportional to the *whole* circuit.  A plain synchronous relaxation
+re-evaluates every type group over every gate each step, copies the full
+value matrix, and XOR-compares and ripple-adds all of it — even though
+after step ``t`` only nets at level ``>= t`` can still change (a
+level-``L`` net depends on paths of length at most ``L``, so it is
+stable from step ``L`` on).
 
 :func:`compile_program` lowers a
 :class:`~repro.circuit.compiled.CompiledNetlist` once into a
@@ -37,8 +37,8 @@ slice arithmetic:
 * **Windowed relaxation.**  :meth:`BitwiseProgram.relax` runs the
   synchronous unit-delay dynamics with a shrinking active window: at step
   ``t`` it evaluates, per class block, only the suffix of gates at level
-  ``>= t`` (reads are staged before any write, exactly like the other
-  engines, so the snapshot semantics — and therefore every glitch toggle
+  ``>= t`` (reads are staged before any write, exactly like the boolean
+  reference kernels, so the snapshot semantics — and therefore every glitch toggle
   — are bit-identical).  Gates below the window are provably settled, so
   skipping them changes nothing; total work is ``sum(levels)`` gate
   evaluations instead of ``depth * n_gates``, a 4-6x reduction on
@@ -56,7 +56,7 @@ one unpack per plane.  Decoded counts come back in program-row order;
 callers scatter the (tiny, packed) planes to net order through
 :attr:`BitwiseProgram.row_of_net` before decoding, after which the shared
 charge accounting in :mod:`repro.circuit.power` is verbatim-identical
-across engines.
+for the tape and the boolean reference.
 
 **LUT folding** (``lut_fold=True``) additionally collapses single-fanout
 cones of up to ``lut_max_gates`` gates with at most 3 distinct external
@@ -66,8 +66,9 @@ own block/relax group).  Folding compresses the cone's internal unit
 delays into a single delay, which *changes glitch arrival times
 downstream* — exact glitch-toggle parity under folding is impossible in
 general, so folding is an opt-in approximation for functional evaluation
-and approximate power, never used by ``engine="compiled"`` (whose
-contract is bit-identical parity).  Interior cone nets lose their rows;
+and approximate power, never used by
+:class:`~repro.circuit.power.PowerSimulator` (whose contract is
+bit-identical parity).  Interior cone nets lose their rows;
 their capacitance is lumped onto the cone root in
 :attr:`BitwiseProgram.row_caps`.
 """
@@ -828,7 +829,7 @@ class BitwiseProgram:
         Windowed-synchronous: step ``t`` stages the evaluation of each
         class block's level-``>= t`` suffix against the step ``t - 1``
         snapshot, then applies all writes — identical dynamics to the
-        other engines over the gates that can still change, so toggle
+        boolean reference over the gates that can still change, so toggle
         counts are bit-identical when ``lut_fold`` is off.  Terminates at
         the first unchanged step (at most ``depth`` steps on any acyclic
         network).
@@ -836,8 +837,8 @@ class BitwiseProgram:
         Args:
             settled: ``[n_rows, n_words]`` settled values (not mutated).
             new_inputs: ``[n_inputs, n_words]`` packed new input words.
-            max_steps: Safety bound kept for API parity with the other
-                engines; the window makes more than ``depth`` steps
+            max_steps: Safety bound kept for API parity with the boolean
+                kernels; the window makes more than ``depth`` steps
                 structurally impossible.
             count_inputs: Count the input application itself as toggles.
             native: ``None`` (default) uses the optional C kernel of

@@ -1,7 +1,10 @@
-"""Logic simulation engines.
+"""Boolean logic simulation kernels.
 
-Two engines share the :class:`~repro.circuit.compiled.CompiledNetlist`
-representation:
+These byte-per-value kernels are the reference the compiled instruction
+tape (:mod:`repro.circuit.program`) is checked against
+(:func:`repro.verify.reference_trace`), and the power simulator's
+fallback on hosts without the packed lane layout.  Both share the
+:class:`~repro.circuit.compiled.CompiledNetlist` representation:
 
 * :func:`functional_values` — zero-delay levelized evaluation.  One pass over
   the level groups settles the whole circuit; used for golden functional
@@ -14,7 +17,7 @@ representation:
   behaviour a transistor-level tool like PowerMill would expose and a
   zero-delay toggle count would hide.
 
-Both engines are vectorized across patterns/transitions: values live in a
+Both kernels are vectorized across patterns/transitions: values live in a
 ``[n_nets, n_patterns]`` boolean matrix and each gate group is one numpy
 expression.
 """

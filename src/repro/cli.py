@@ -73,14 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enhanced", action="store_true")
     p.add_argument("--stimulus", default="uniform_hd",
                    choices=["random", "uniform_hd", "mixed", "corner"])
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"],
-                   help="simulation kernel: bit-packed uint64 lanes "
-                        "('packed'), byte-per-value ('bool'), the "
-                        "straight-line instruction tape ('compiled', "
-                        "fastest on long streams), or 'auto' (compiled, "
-                        "bool below 64 transitions); results are "
-                        "bit-identical")
     p.add_argument("--jobs", type=int, default=1,
                    help="characterize jobs in parallel with this many "
                         "worker processes")
@@ -117,9 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                    "(characterizes on the fly if omitted)")
     p.add_argument("--method", default="trace",
                    choices=["trace", "distribution", "avg-hd"])
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"],
-                   help="simulation kernel for reference/characterization")
     p.add_argument("--reference", action="store_true",
                    help="also run the gate-level reference simulation")
     p.add_argument("--node",
@@ -152,9 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--top", type=int, default=15)
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"],
-                   help="simulation kernel for the per-net breakdown")
 
     p = sub.add_parser(
         "budget", help="power-budget a JSON dataflow graph"
@@ -170,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="differential verification (see docs/VERIFICATION.md)"
     )
     p.add_argument("action", choices=["fuzz"],
-                   help="'fuzz': cross-engine/oracle differential fuzzing")
+                   help="'fuzz': reference/oracle differential fuzzing")
     p.add_argument("--budget", type=int, default=2000,
                    help="total transitions to simulate across all cases")
     p.add_argument("--seed", type=int, default=0,
@@ -214,8 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", type=int, default=2000,
                    help="patterns per on-demand characterization")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"])
     p.add_argument("--cache-dir",
                    help="persistent model cache directory (default "
                         "~/.cache/repro-hd or $REPRO_CACHE_DIR)")
@@ -258,8 +242,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patterns", type=int, default=2000,
                    help="patterns per characterization")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", default="auto",
-                   choices=["auto", "bool", "packed", "compiled"])
     p.add_argument("--cache-dir",
                    help="persistent model cache directory (default "
                         "~/.cache/repro-hd or $REPRO_CACHE_DIR)")
@@ -490,7 +472,6 @@ def _cmd_characterize(args) -> int:
         seed=args.seed,
         basic_stimulus=args.stimulus,
         enhanced_stimulus=args.stimulus,
-        engine=args.engine,
     )
     cache = None
     if args.cache or args.cache_dir:
@@ -646,7 +627,6 @@ def _cmd_estimate(args) -> int:
     else:
         model = characterize_module(
             module, n_patterns=args.patterns, seed=args.seed,
-            engine=args.engine,
         ).model
 
     streams = make_operand_streams(module, args.data_type, args.patterns,
@@ -694,9 +674,7 @@ def _cmd_estimate(args) -> int:
         payload["physical"] = physical
     if args.reference:
         bits = module_stimulus(module, streams)
-        reference = PowerSimulator(
-            module.compiled, engine=args.engine
-        ).simulate(bits)
+        reference = PowerSimulator(module.compiled).simulate(bits)
         err = (estimate.average_charge / reference.average_charge - 1) * 100
         print(f"reference charge  : {reference.average_charge:.2f} "
               f"(error {err:+.1f}%)", file=info)
@@ -733,9 +711,7 @@ def _cmd_hotspots(args) -> int:
         module, args.data_type, args.patterns, seed=args.seed
     )
     bits = module_stimulus(module, streams)
-    hotspots = net_power_breakdown(
-        module.compiled, bits, top=args.top, engine=args.engine
-    )
+    hotspots = net_power_breakdown(module.compiled, bits, top=args.top)
     print(render_hotspots(
         hotspots,
         title=f"{module.netlist.name}, data type {args.data_type}: "
@@ -888,7 +864,6 @@ def _cmd_serve(args) -> int:
     config = ExperimentConfig(
         n_characterization=args.patterns,
         seed=args.seed,
-        engine=args.engine,
     )
     cache = None if args.no_cache else ModelCache(args.cache_dir)
     registry = ModelRegistry(
@@ -1008,7 +983,6 @@ def _cmd_warmup(args) -> int:
     config = ExperimentConfig(
         n_characterization=args.patterns,
         seed=args.seed,
-        engine=args.engine,
     )
     cache = ModelCache(args.cache_dir)
     registry = ModelRegistry(

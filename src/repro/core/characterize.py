@@ -16,7 +16,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from .._compat import pop_renamed_kwarg
 from ..circuit.power import PowerSimulator
 from ..modules.library import DatapathModule
 from ..obs.events import EVENTS
@@ -179,8 +178,6 @@ def characterize_module(
     glitch_weight: float = 1.0,
     stimulus: str = "uniform_hd",
     max_patterns: Optional[int] = None,
-    engine: Optional[str] = None,
-    **legacy,
 ) -> CharacterizationResult:
     """Characterize one module prototype with random patterns.
 
@@ -205,25 +202,10 @@ def characterize_module(
             random stream), ``"mixed"`` (uniform_hd + corner pairs,
             recommended for the enhanced model) or ``"corner"``.
         max_patterns: Hard budget; defaults to ``4 * n_patterns``.
-        engine: Simulation kernel (``"auto"``, ``"bool"``, ``"packed"``
-            or ``"compiled"``, see
-            :class:`~repro.circuit.power.PowerSimulator`); ``"auto"``
-            runs the compiled tape on every batch of 64 or more
-            transitions.  Engines are bit-identical by contract, so this
-            never changes the fitted coefficients — only how fast the
-            reference charges arrive.
 
     Returns:
         A :class:`CharacterizationResult`.
     """
-    # PR 5 rename: ``simulation_engine=`` → ``engine=`` (warns once).
-    engine = pop_renamed_kwarg(
-        legacy, "simulation_engine", "engine", "characterize_module", engine
-    )
-    if legacy:
-        raise TypeError(f"unexpected keyword arguments: {sorted(legacy)}")
-    if engine is None:
-        engine = "auto"
     if max_patterns is None:
         max_patterns = 4 * n_patterns
     generators = {
@@ -238,7 +220,7 @@ def characterize_module(
     width = module.input_bits
     simulator = PowerSimulator(
         module.compiled, glitch_aware=glitch_aware,
-        glitch_weight=glitch_weight, engine=engine,
+        glitch_weight=glitch_weight,
     )
     rng = np.random.default_rng(seed)
 

@@ -53,20 +53,15 @@ class ExperimentConfig:
             ("uniform_hd" stratifies event classes; "random" is the paper's
             literal stream).
         enhanced_stimulus: Characterization stream for the enhanced model.
-        engine: Simulation kernel ("auto", "bool", "packed" or
-            "compiled"; "auto" runs the compiled tape on streams of 64
-            or more transitions).  Engines are bit-identical, so this
-            is a speed knob, not a provenance knob — the persistent cache
-            deliberately excludes it from its keys (see
-            :func:`repro.runtime.cache._config_payload`).
         self_check: When True, every freshly simulated evaluation trace
             has a short prefix re-simulated by the pure-Python oracle
             (:func:`repro.verify.oracles.verify_trace_prefix`) before it
             is used or stored.  A mismatch raises
             :class:`~repro.verify.oracles.VerificationError` immediately
-            instead of contaminating downstream tables.  Like ``engine``,
-            this cannot change results, only reject wrong ones, so the
-            cache also excludes it from its keys.
+            instead of contaminating downstream tables.  This cannot
+            change results, only reject wrong ones, so the persistent
+            cache excludes it from its keys (see
+            :func:`repro.runtime.cache._config_payload`).
     """
 
     n_characterization: int = 4000
@@ -76,7 +71,6 @@ class ExperimentConfig:
     glitch_weight: float = 1.0
     basic_stimulus: str = "uniform_hd"
     enhanced_stimulus: str = "mixed"
-    engine: str = "auto"
     self_check: bool = False
 
 
@@ -114,10 +108,10 @@ class Harness:
             ``misses`` against the *disk* cache, ``simulated_patterns``
             (patterns actually pushed through the reference simulator; 0
             on a fully cache-served run), ``simulated_toggles`` (total
-            toggle events those simulations counted), per-engine run
-            counts (``engine_bool_runs``/``engine_packed_runs``/
-            ``engine_compiled_runs``, so the kernel that did the work is
-            observable, not assumed),
+            toggle events those simulations counted), per-kernel run
+            counts (``engine_compiled_runs``, and ``engine_bool_runs`` on
+            hosts without the packed lane layout, so the kernel that did
+            the work is observable, not assumed),
             ``characterize_seconds`` / ``simulate_seconds`` wall-clock
             totals, and ``self_checks`` (oracle prefix verifications run
             when ``config.self_check`` is on).
@@ -138,7 +132,6 @@ class Harness:
             "simulated_patterns": 0,
             "simulated_toggles": 0,
             "engine_bool_runs": 0,
-            "engine_packed_runs": 0,
             "engine_compiled_runs": 0,
             "characterize_seconds": 0.0,
             "simulate_seconds": 0.0,
@@ -167,7 +160,6 @@ class Harness:
             module.compiled,
             glitch_aware=self.config.glitch_aware,
             glitch_weight=self.config.glitch_weight,
-            engine=getattr(self.config, "engine", "auto"),
         )
 
     def _record_simulation(self, simulator: PowerSimulator) -> None:
@@ -229,7 +221,6 @@ class Harness:
                     glitch_weight=self.config.glitch_weight,
                     stimulus=(self.config.enhanced_stimulus if enhanced
                               else self.config.basic_stimulus),
-                    engine=getattr(self.config, "engine", "auto"),
                 )
             self.counters["characterize_seconds"] += (
                 time.perf_counter() - started

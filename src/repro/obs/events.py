@@ -337,6 +337,13 @@ class EventCounters:
             "repro_sim_seconds_total",
             "Wall-clock seconds spent inside PowerSimulator.simulate.",
         )
+        self.native_backend = r.gauge(
+            "repro_native_backend",
+            "Compiled-engine backend in use: 1 on the live status "
+            "(native = C kernel, numpy = fallback after a failed build or "
+            "load, disabled = switched off on purpose), 0 on the others.",
+            ("status",),
+        )
         # Bitwise-program compiler and executor (repro.circuit.program).
         self.program_compiles = r.counter(
             "repro_program_compiles_total",

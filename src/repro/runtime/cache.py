@@ -93,12 +93,9 @@ def _config_payload(config: Any) -> Dict[str, Any]:
         raise TypeError(
             f"config must be a dataclass or dict, got {type(config).__name__}"
         )
-    # The simulation engine is bit-identical by contract (parity-tested),
-    # so it is pure speed provenance: keying on it would split the cache
-    # between runs that produce byte-for-byte the same artifacts.  The
-    # oracle self-check can only *reject* a wrong trace, never change a
-    # correct one, so it is excluded for the same reason.
-    payload.pop("engine", None)
+    # The oracle self-check can only *reject* a wrong trace, never change
+    # a correct one: keying on it would split the cache between runs that
+    # produce byte-for-byte the same artifacts.
     payload.pop("self_check", None)
     return payload
 

@@ -129,9 +129,6 @@ def _config_params(config: Any) -> Dict[str, Any]:
         "glitch_weight": config.glitch_weight,
         "basic_stimulus": config.basic_stimulus,
         "enhanced_stimulus": config.enhanced_stimulus,
-        # Speed knob only — engines are bit-identical, so this never
-        # appears in cache keys (duck-typed configs may predate it).
-        "engine": getattr(config, "engine", "auto"),
     }
 
 
@@ -166,7 +163,6 @@ def _run_job(
                 params["enhanced_stimulus"] if enhanced
                 else params["basic_stimulus"]
             ),
-            engine=params.get("engine", "auto"),
         )
     return result, trace_ctx.payload() if trace_ctx is not None else None
 

@@ -50,6 +50,7 @@ from typing import Any, Dict, Optional, Set, Tuple
 
 import numpy as np
 
+from ..circuit.native import native_kernel
 from ..modules.library import module_kinds
 from ..modules.spec import UnknownModuleError, resolve_spec
 from ..obs import tracing
@@ -349,6 +350,9 @@ class EstimationServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
+        # Resolve the native backend up front so /metrics always carries
+        # repro_native_backend, even when every model comes from cache.
+        native_kernel()
         self._restore_sessions()
         if self._sock is not None:
             self._server = await asyncio.start_server(

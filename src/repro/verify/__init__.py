@@ -1,13 +1,16 @@
 """Differential verification subsystem.
 
-Three layers (see docs/VERIFICATION.md):
+Four layers (see docs/VERIFICATION.md):
 
 * :mod:`repro.verify.oracles` — pure, slow, obviously-correct reference
   implementations of the paper's equations and an independent per-gate
   toggle counter;
+* :mod:`repro.verify.reference` — :func:`reference_trace`, the boolean
+  simulation kernels run through the production chunk loop and charge
+  accounting;
 * :mod:`repro.verify.differential` — the seeded fuzzer that runs the
-  production engines against each other, against the oracle, and through
-  a battery of metamorphic relations;
+  production simulator against the reference, against the oracle, and
+  through a battery of metamorphic relations;
 * :mod:`repro.verify.shrink` — the delta-debugging minimizer and repro
   artifact writer.
 """
@@ -36,6 +39,7 @@ from .oracles import (
     oracle_power_trace,
     verify_trace_prefix,
 )
+from .reference import reference_trace
 from .shrink import ShrinkResult, shrink_case, write_repro
 
 __all__ = [
@@ -58,6 +62,7 @@ __all__ = [
     "oracle_net_caps",
     "oracle_power_trace",
     "random_case",
+    "reference_trace",
     "run_fuzz",
     "shrink_case",
     "verify_trace_prefix",

@@ -2,15 +2,16 @@
 
 A fuzz *case* is a small, fully described experiment: one module kind at
 one width, one stimulus stream, one simulator configuration.  For every
-case the fuzzer runs the production engines (``bool``, ``packed`` and
-``compiled``) against each other and against the
+case the fuzzer runs the production simulator (the compiled instruction
+tape) against the boolean reference kernels
+(:func:`~repro.verify.reference.reference_trace`) and against the
 :mod:`repro.verify.oracles` golden model, and checks a set of
 *metamorphic relations* — transformations of the input whose effect on
 the output is known exactly:
 
-* **engine parity** — identical ``charge``/``total_toggles`` between
-  every pair of engines at equal chunk size (the PR-2 contract, extended
-  to the compiled instruction-tape engine, fuzzed instead of
+* **engine parity** — identical ``charge``/``total_toggles`` between the
+  compiled tape and the reference at equal chunk size, and between the
+  tape's native C backend and its numpy fallback (fuzzed instead of
   example-tested);
 * **oracle agreement** — dense per-net toggles, per-cycle totals and
   charge against the per-gate Python reference, on a stream prefix;
@@ -26,10 +27,7 @@ the output is known exactly:
   (:data:`SWAP_SYMMETRIC_KINDS`) consume identical power when the operands
   are exchanged;
 * **classification permutation** — Hamming distance and stable-zero
-  counts are invariant under any permutation of input bit columns;
-* **cache keys** — the persistent cache must key identically for
-  bit-identical engines (``engine`` is speed provenance, not result
-  provenance).
+  counts are invariant under any permutation of input bit columns.
 
 On a mismatch the case is handed to :mod:`repro.verify.shrink`, which
 minimizes it and writes a standalone repro script under
@@ -45,6 +43,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..circuit.native import native_kernel, numpy_fallback
 from ..circuit.packed import PACKED_AVAILABLE
 from ..circuit.power import PowerSimulator, PowerTrace
 from ..circuit.simulate import (
@@ -61,6 +60,7 @@ from ..core.characterize import (
 from ..core.events import classify_transitions
 from ..modules.library import DatapathModule, make_module, module_kinds
 from .oracles import oracle_power_trace
+from .reference import reference_trace
 
 #: Module kinds whose netlists are bit-for-bit symmetric under exchanging
 #: the two operands: every gate that mixes ``a_i`` and ``b_i`` is itself
@@ -89,7 +89,7 @@ _STIMULI: Dict[str, Callable] = {
 #: exact and uses no tolerance at all.
 SPLIT_RTOL = 1e-12
 #: Oracle charge tolerance: the oracle sums per-net charge in plain Python
-#: order, the engines through a BLAS matmul.
+#: order, the simulator through a BLAS matmul.
 ORACLE_RTOL = 1e-9
 
 
@@ -155,13 +155,23 @@ def make_stream(case: FuzzCase, module: DatapathModule) -> np.ndarray:
     return np.asarray(bits[: case.n_patterns], dtype=bool)
 
 
-def _simulator(case: FuzzCase, module: DatapathModule, engine: str) -> PowerSimulator:
+def _simulator(case: FuzzCase, module: DatapathModule) -> PowerSimulator:
     return PowerSimulator(
         module.compiled,
         glitch_aware=case.glitch_aware,
         glitch_weight=case.glitch_weight,
         chunk_size=case.chunk_size,
-        engine=engine,
+    )
+
+
+def _reference(
+    case: FuzzCase, module: DatapathModule, bits: np.ndarray
+) -> PowerTrace:
+    return reference_trace(
+        module.compiled, bits,
+        glitch_aware=case.glitch_aware,
+        glitch_weight=case.glitch_weight,
+        chunk_size=case.chunk_size,
     )
 
 
@@ -182,26 +192,31 @@ def _first_diff(a: np.ndarray, b: np.ndarray) -> str:
 def check_engine_parity(
     case: FuzzCase, module: DatapathModule, bits: np.ndarray
 ) -> List[Mismatch]:
-    """All engine pairs: exact charge and toggle traces at equal chunking.
+    """Exact charge and toggle traces at equal chunking, two pairs.
 
-    ``bool`` is the reference; ``packed`` and ``compiled`` are each
-    compared against it (which also pins them to each other).
+    The compiled tape against the boolean reference, and — when the
+    native backend is live — the tape's numpy fallback against its
+    native run.
     """
     if not PACKED_AVAILABLE:
         return []
-    ref = _simulator(case, module, "bool").simulate(bits)
+    got = _simulator(case, module).simulate(bits)
+    pairs = [("compiled", _reference(case, module, bits), got)]
+    if native_kernel() is not None:
+        with numpy_fallback():
+            fallback = _simulator(case, module).simulate(bits)
+        pairs.append(("numpy", got, fallback))
     out = []
-    for engine in ("packed", "compiled"):
-        got = _simulator(case, module, engine).simulate(bits)
-        if not np.array_equal(ref.total_toggles, got.total_toggles):
+    for name, ref, other in pairs:
+        if not np.array_equal(ref.total_toggles, other.total_toggles):
             out.append(Mismatch(
-                f"engine_parity_toggles_{engine}", case,
-                _first_diff(ref.total_toggles, got.total_toggles),
+                f"engine_parity_toggles_{name}", case,
+                _first_diff(ref.total_toggles, other.total_toggles),
             ))
-        if not np.array_equal(ref.charge, got.charge):
+        if not np.array_equal(ref.charge, other.charge):
             out.append(Mismatch(
-                f"engine_parity_charge_{engine}", case,
-                _first_diff(ref.charge, got.charge),
+                f"engine_parity_charge_{name}", case,
+                _first_diff(ref.charge, other.charge),
             ))
     return out
 
@@ -212,7 +227,8 @@ def check_oracle_trace(
     bits: np.ndarray,
     prefix: int = 24,
 ) -> List[Mismatch]:
-    """Both engines vs the per-gate Python golden model, on a prefix."""
+    """The reference and the simulator vs the per-gate Python golden
+    model, on a prefix."""
     n = min(prefix, case.n_transitions)
     head = bits[: n + 1]
     oracle = oracle_power_trace(
@@ -220,21 +236,20 @@ def check_oracle_trace(
         glitch_aware=case.glitch_aware, glitch_weight=case.glitch_weight,
     )
     out: List[Mismatch] = []
-    engines = ["bool"] + (
-        ["packed", "compiled"] if PACKED_AVAILABLE else []
-    )
-    for engine in engines:
-        trace = _simulator(case, module, engine).simulate(head)
+    traces = [("bool", _reference(case, module, head))]
+    if PACKED_AVAILABLE:
+        traces.append(("compiled", _simulator(case, module).simulate(head)))
+    for name, trace in traces:
         if not np.array_equal(oracle.total_toggles, trace.total_toggles):
             out.append(Mismatch(
-                f"oracle_toggles_{engine}", case,
+                f"oracle_toggles_{name}", case,
                 _first_diff(oracle.total_toggles, trace.total_toggles),
             ))
         if not np.allclose(
             oracle.charge, trace.charge, rtol=ORACLE_RTOL, atol=0.0
         ):
             out.append(Mismatch(
-                f"oracle_charge_{engine}", case,
+                f"oracle_charge_{name}", case,
                 _first_diff(oracle.charge, trace.charge),
             ))
     # Dense per-net toggle matrix against the boolean kernel directly.
@@ -286,7 +301,7 @@ def check_concatenation(
     """trace(stream) == trace(head) ++ trace(tail) when split anywhere."""
     if case.n_transitions < 2:
         return []
-    sim = _simulator(case, module, "auto")
+    sim = _simulator(case, module)
     full = sim.simulate(bits)
     split = case.n_transitions // 2
     head = sim.simulate(bits[: split + 1])
@@ -311,7 +326,7 @@ def check_accumulator_merge(
     """One-shot accumulation == merge of split-stream accumulators."""
     if case.n_transitions < 2:
         return []
-    trace = _simulator(case, module, "auto").simulate(bits)
+    trace = _simulator(case, module).simulate(bits)
     events = classify_transitions(bits)
     width = module.input_bits
     split = case.n_transitions // 2
@@ -356,7 +371,7 @@ def check_operand_swap(
     swapped = bits.copy()
     swapped[:, :w] = bits[:, w:2 * w]
     swapped[:, w:2 * w] = bits[:, :w]
-    sim = _simulator(case, module, "auto")
+    sim = _simulator(case, module)
     ref = sim.simulate(bits)
     got = sim.simulate(swapped)
     out = []
@@ -473,7 +488,7 @@ def check_calibration(
     from ..tech import Calibration, get_node, node_names
 
     charge = float(
-        _simulator(case, module, "auto").simulate(bits).average_charge
+        _simulator(case, module).simulate(bits).average_charge
     )
     out = []
     if charge <= 0.0:
@@ -522,38 +537,6 @@ def check_calibration(
         out.append(Mismatch(
             "calibration_identity", case,
             "identity calibration did not return the estimate unchanged",
-        ))
-    return out
-
-
-def check_cache_key_engine_independence() -> List[Mismatch]:
-    """Cache keys must not depend on the (bit-identical) engine choice."""
-    from ..eval.harness import ExperimentConfig
-    from ..runtime.cache import ModelCache
-
-    cache = ModelCache("/nonexistent-but-never-touched")
-    reference_case = FuzzCase(kind="ripple_adder", width=4, n_patterns=2,
-                              seed=0)
-    keys = set()
-    trace_keys = set()
-    for engine in ("bool", "packed", "compiled", "auto"):
-        config = ExperimentConfig(engine=engine)
-        keys.add(cache.characterization_key(
-            reference_case.kind, reference_case.width, False, config, 7
-        ))
-        trace_keys.add(cache.trace_key(
-            reference_case.kind, reference_case.width, "III", config, 7
-        ))
-    out = []
-    if len(keys) != 1:
-        out.append(Mismatch(
-            "cache_key_engine", reference_case,
-            f"characterization keys split by engine: {sorted(keys)}",
-        ))
-    if len(trace_keys) != 1:
-        out.append(Mismatch(
-            "cache_key_engine_trace", reference_case,
-            f"trace keys split by engine: {sorted(trace_keys)}",
         ))
     return out
 
@@ -755,13 +738,13 @@ def random_case(
     max_width: int = 6,
     max_patterns: int = 120,
 ) -> FuzzCase:
-    """Draw one random case: kind, width, stream shape, engine knobs."""
+    """Draw one random case: kind, width, stream shape, simulator knobs."""
     kind = str(rng.choice(list(kinds)))
     width = int(rng.integers(2, max_width + 1))
     n_patterns = int(rng.integers(2, max_patterns + 1))
     glitch_aware = bool(rng.random() > 0.15)
     glitch_weight = float(rng.choice([1.0, 1.0, 0.5, 0.37, 0.0]))
-    chunk_size = rng.choice([0, 7, 17, 64])  # 0 -> engine default
+    chunk_size = rng.choice([0, 7, 17, 64])  # 0 -> simulator default
     stimulus = str(rng.choice(list(_STIMULI)))
     return FuzzCase(
         kind=kind,
@@ -807,7 +790,6 @@ def run_fuzz(
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     report = FuzzReport(budget=budget, seed=seed)
-    report.mismatches.extend(check_cache_key_engine_independence())
     report.mismatches.extend(check_variant_spec())
     pool = tuple(kinds) if kinds else DEFAULT_KINDS
     failing_cases = 0

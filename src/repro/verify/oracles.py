@@ -12,7 +12,7 @@ Contents:
 
 * :func:`oracle_power_trace` — an independent dense toggle counter and
   charge accounting for netlist simulation (the golden model the
-  ``bool``/``packed`` engines are fuzzed against);
+  boolean reference kernels and the compiled tape are fuzzed against);
 * :func:`oracle_class_counts` / :func:`oracle_class_averages` — the paper's
   Eq. 4 per-class charge averaging, plus the class partition identity
   ``Σ_i |E_i| = n_transitions``;
@@ -130,7 +130,7 @@ def oracle_power_trace(
 ) -> OracleTrace:
     """Dense toggle counting and charge accounting, one transition at a time.
 
-    The reference the vectorized engines are fuzzed against: per-gate
+    The golden model the vectorized kernels are fuzzed against: per-gate
     Python evaluation (no gate grouping, no packing), synchronous
     unit-delay relaxation with the same semantics as
     :func:`repro.circuit.simulate.unit_delay_transition` — every gate at

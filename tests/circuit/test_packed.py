@@ -1,12 +1,14 @@
-"""Packed-engine parity suite: bit-for-bit agreement with the bool engine.
+"""Packed-lane parity suite: the simulator vs the boolean reference.
 
-The packed kernel is a pure speed optimization; its contract is that a
-:class:`PowerSimulator` produces *identical* ``charge`` and
-``total_toggles`` arrays regardless of engine (at equal chunk size — see
-``test_chunk_invariance`` in ``test_power.py`` for the cross-chunk-size
-float tolerance).  This file sweeps that contract across every registered
-module kind, the glitch-weighting configurations, the zero-delay ablation
-and awkward stream lengths, plus unit tests of the packing primitives.
+:class:`PowerSimulator` runs the compiled instruction tape over packed
+64-lane words; its contract is *identical* ``charge`` and
+``total_toggles`` arrays to :func:`repro.verify.reference_trace` (the
+boolean kernels through the same chunk loop and accounting) at equal
+chunk size — see ``test_chunk_invariance`` in ``test_power.py`` for the
+cross-chunk-size float tolerance.  This file sweeps that contract across
+every registered module kind, the glitch-weighting configurations, the
+zero-delay ablation, awkward stream lengths, chunk boundaries and the
+popcount LUT fallback, plus unit tests of the lane primitives.
 """
 
 import numpy as np
@@ -20,22 +22,18 @@ from repro.circuit.packed import (
     inject_lane,
     n_words_for,
     pack_lanes,
-    packed_functional_values,
-    packed_unit_delay_transition,
     popcount,
     unpack_lanes,
 )
 from repro.circuit.hotspots import net_power_breakdown
-from repro.circuit.power import (
-    AUTO_MIN_CYCLES,
-    PowerSimulator,
-    PowerTrace,
-)
+from repro.circuit.power import PowerSimulator, PowerTrace
+from repro.circuit.program import compile_program
 from repro.circuit.simulate import functional_values, unit_delay_transition
 from repro.modules.library import make_module, module_kinds
+from repro.verify import reference_trace
 
 pytestmark = pytest.mark.skipif(
-    not PACKED_AVAILABLE, reason="packed engine needs a little-endian host"
+    not PACKED_AVAILABLE, reason="packed lanes need a little-endian host"
 )
 
 #: Small width per kind for the full-registry sweep (mac wants >= 2;
@@ -56,24 +54,20 @@ def _stream(module, n_patterns, seed=0):
 
 def _assert_trace_equal(a: PowerTrace, b: PowerTrace):
     np.testing.assert_array_equal(a.total_toggles, b.total_toggles)
-    # Bitwise, not allclose: the engines share the accounting code and the
+    # Bitwise, not allclose: the kernels share the accounting code and the
     # chunk boundaries, so even the float charge must match exactly.
     np.testing.assert_array_equal(a.charge, b.charge)
 
 
 def _parity(module, bits, **kwargs):
-    ref = PowerSimulator(module.compiled, engine="bool", **kwargs).simulate(
-        bits
-    )
-    got = PowerSimulator(module.compiled, engine="packed", **kwargs).simulate(
-        bits
-    )
+    ref = reference_trace(module.compiled, bits, **kwargs)
+    got = PowerSimulator(module.compiled, **kwargs).simulate(bits)
     _assert_trace_equal(ref, got)
     return ref
 
 
 # ----------------------------------------------------------------------
-# Engine parity
+# Parity with the reference
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 @pytest.mark.parametrize("kind", module_kinds())
@@ -119,66 +113,56 @@ def test_parity_awkward_stream_lengths(n_patterns):
 
 @pytest.mark.parametrize("chunk_size", [17, 64, 100])
 def test_parity_across_chunk_boundaries(chunk_size):
-    """The carried boundary column must behave identically per engine."""
+    """The carried boundary column must behave identically per kernel."""
     module = make_module("cla_adder", 4)
     bits = _stream(module, 230, seed=4)
     _parity(module, bits, chunk_size=chunk_size, glitch_weight=0.5)
 
 
 def test_packed_chunk_size_invariance():
-    """Cross-chunk-size runs of the packed engine: toggles exact, charge
-    to float-summation tolerance (the same contract the bool engine has)."""
+    """Cross-chunk-size runs on packed lanes: toggles exact, charge to
+    float-summation tolerance (the same contract the reference has)."""
     module = make_module("csa_multiplier", 4)
     bits = _stream(module, 129, seed=5)
-    whole = PowerSimulator(
-        module.compiled, engine="packed", chunk_size=4096
-    ).simulate(bits)
-    sliced = PowerSimulator(
-        module.compiled, engine="packed", chunk_size=13
-    ).simulate(bits)
+    whole = PowerSimulator(module.compiled, chunk_size=4096).simulate(bits)
+    sliced = PowerSimulator(module.compiled, chunk_size=13).simulate(bits)
     np.testing.assert_array_equal(whole.total_toggles, sliced.total_toggles)
     np.testing.assert_allclose(whole.charge, sliced.charge, rtol=1e-12, atol=0.0)
 
 
 # ----------------------------------------------------------------------
-# Engine selection
+# Kernel selection
 # ----------------------------------------------------------------------
-def test_auto_resolution_thresholds():
-    module = make_module("ripple_adder", 4)
-    sim = PowerSimulator(module.compiled, engine="auto")
-    assert sim.resolve_engine(AUTO_MIN_CYCLES - 1) == "bool"
-    assert sim.resolve_engine(AUTO_MIN_CYCLES) == "compiled"
-    assert PowerSimulator(module.compiled, engine="bool").resolve_engine(
-        10**6
-    ) == "bool"
-
-
 def test_unknown_engine_rejected():
+    """The engine option is gone: any engine= keyword is a TypeError."""
     module = make_module("ripple_adder", 4)
-    with pytest.raises(ValueError, match="engine"):
+    with pytest.raises(TypeError, match="engine"):
         PowerSimulator(module.compiled, engine="simd")
 
 
 def test_packed_unavailable_falls_back(monkeypatch):
+    """Without the lane layout the simulator runs the boolean kernels,
+    with the identical trace."""
     module = make_module("ripple_adder", 4)
+    bits = _stream(module, 130, seed=6)
+    expected = PowerSimulator(module.compiled).simulate(bits)
     monkeypatch.setattr("repro.circuit.power.PACKED_AVAILABLE", False)
-    sim = PowerSimulator(module.compiled, engine="auto")
-    assert sim.resolve_engine(10**6) == "bool"
-    with pytest.raises(ValueError, match="little-endian"):
-        PowerSimulator(module.compiled, engine="packed")
+    sim = PowerSimulator(module.compiled)
+    _assert_trace_equal(sim.simulate(bits), expected)
+    assert sim.last_stats.engine == "bool"
 
 
 def test_stats_record_resolved_engine():
     module = make_module("ripple_adder", 4)
     bits = _stream(module, 130, seed=6)
-    sim = PowerSimulator(module.compiled, engine="auto")
+    sim = PowerSimulator(module.compiled)
     trace = sim.simulate(bits)
     assert sim.last_stats.engine == "compiled"
     assert sim.last_stats.n_cycles == 129
     assert sim.last_stats.total_toggles == int(trace.total_toggles.sum())
     assert sim.last_stats.seconds >= 0.0
     sim.simulate(bits[:3])
-    assert sim.last_stats.engine == "bool"
+    assert sim.last_stats.engine == "compiled"
 
 
 # ----------------------------------------------------------------------
@@ -354,47 +338,62 @@ def test_accumulator_empty_decode_raises():
 # Kernel-level parity with the boolean reference
 # ----------------------------------------------------------------------
 def test_packed_functional_values_match_bool():
+    """The tape's packed settle equals the boolean functional_values."""
     module = make_module("alu", 4)
     compiled = module.compiled
+    program = compile_program(compiled)
     bits = _stream(module, 100, seed=12)
     expected = functional_values(compiled, bits)
     n_words = n_words_for(len(bits))
-    got = packed_functional_values(compiled, pack_lanes(bits.T, n_words), n_words)
+    got = program.settle(pack_lanes(bits.T, n_words), n_words)
     np.testing.assert_array_equal(
-        unpack_lanes(got, len(bits)).astype(bool), expected
+        unpack_lanes(got[program.row_of_net], len(bits)).astype(bool),
+        expected,
     )
 
 
 def test_packed_unit_delay_matches_bool():
+    """The tape's packed relax equals the boolean unit_delay_transition:
+    final values and dense per-net toggle counts."""
     module = make_module("csa_multiplier", 4)
     compiled = module.compiled
+    program = compile_program(compiled)
     old = _stream(module, 100, seed=13)
     new = _stream(module, 100, seed=14)
     settled = functional_values(compiled, old)
     final_ref, toggles_ref = unit_delay_transition(compiled, settled, new)
     n_words = n_words_for(100)
-    packed_settled = packed_functional_values(
-        compiled, pack_lanes(old.T, n_words), n_words
+    packed_settled = program.settle(pack_lanes(old.T, n_words), n_words)
+    final, accumulator, _ = program.relax(
+        packed_settled, pack_lanes(new.T, n_words)
     )
-    final, accumulator = packed_unit_delay_transition(
-        compiled, packed_settled, pack_lanes(new.T, n_words)
-    )
+    row_of_net = program.row_of_net
     np.testing.assert_array_equal(
-        unpack_lanes(final, 100).astype(bool), final_ref
+        unpack_lanes(final[row_of_net], 100).astype(bool), final_ref
     )
+    planes = ToggleAccumulator()
+    planes.planes = [p[row_of_net] for p in accumulator.planes]
     np.testing.assert_array_equal(
-        accumulator.decode(100).astype(np.uint32), toggles_ref
+        planes.decode(100).astype(np.uint32), toggles_ref
     )
+
+
+def _reference_net_toggles(compiled, bits):
+    """Per-net toggle totals straight from the boolean kernels."""
+    settled = functional_values(compiled, bits[:-1])
+    _, toggles = unit_delay_transition(compiled, settled, bits[1:])
+    return toggles.sum(axis=1, dtype=np.int64)
 
 
 def test_hotspots_engine_parity():
+    """The hotspot report's popcount totals equal the boolean reference
+    per net, and its charge is those totals times the net caps."""
     module = make_module("booth_wallace_multiplier", 4)
     bits = _stream(module, 150, seed=15)
-    ref = net_power_breakdown(module.compiled, bits, engine="bool")
-    got = net_power_breakdown(module.compiled, bits, engine="packed")
-    assert [(h.net, h.toggles) for h in ref] == [
-        (h.net, h.toggles) for h in got
-    ]
-    np.testing.assert_allclose(
-        [h.charge for h in ref], [h.charge for h in got], rtol=0, atol=0
-    )
+    toggles = _reference_net_toggles(module.compiled, bits)
+    caps = module.compiled.net_caps
+    report = net_power_breakdown(module.compiled, bits, chunk_size=64)
+    assert len(report) == module.compiled.n_nets
+    for h in report:
+        assert h.toggles == toggles[h.net]
+        assert h.charge == toggles[h.net] * caps[h.net]

@@ -6,6 +6,7 @@ import pytest
 from repro.circuit.packed import PACKED_AVAILABLE
 from repro.circuit.power import PowerSimulator, PowerTrace
 from repro.modules import make_module
+from repro.verify import reference_trace
 
 
 @pytest.fixture(scope="module")
@@ -129,41 +130,49 @@ def test_accepts_compiled_netlist():
 
 
 # ----------------------------------------------------------------------
-# Chunk invariance: simulate() must be bitwise indifferent to chunk_size
-# across every engine configuration, including the glitch-weighting path
-# (which takes a different branch) and degenerate stream lengths.
+# Chunk invariance: a trace must be bitwise indifferent to chunk_size on
+# both kernels, including the glitch-weighting path (which takes a
+# different branch) and degenerate stream lengths.
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def csa4_netlist():
     return make_module("csa_multiplier", 4).netlist
 
 
-@pytest.mark.parametrize("engine", [
-    "bool",
-    pytest.param("packed", marks=pytest.mark.skipif(
-        not PACKED_AVAILABLE, reason="packed engine needs little-endian"
+def _simulate_packed(netlist, bits, **kwargs):
+    return PowerSimulator(netlist, **kwargs).simulate(bits)
+
+
+#: The two kernels, under the ids of their lane layouts: "bool" is the
+#: byte-per-value reference, "packed" the simulator's compiled tape over
+#: packed 64-lane words.
+KERNELS = [
+    pytest.param(reference_trace, id="bool"),
+    pytest.param(_simulate_packed, id="packed", marks=pytest.mark.skipif(
+        not PACKED_AVAILABLE, reason="packed lanes need little-endian"
     )),
-])
+]
+
+
+@pytest.mark.parametrize("run", KERNELS)
 @pytest.mark.parametrize("glitch_aware", [True, False])
 @pytest.mark.parametrize("glitch_weight", [1.0, 0.5])
 @pytest.mark.parametrize("chunk_size", [1, 7, 2048])
 def test_chunk_invariance(
-    csa4_netlist, chunk_size, glitch_weight, glitch_aware, engine
+    csa4_netlist, chunk_size, glitch_weight, glitch_aware, run
 ):
     bits = _random_bits(129, 8, seed=11)
-    reference = PowerSimulator(
-        csa4_netlist,
+    reference = run(
+        csa4_netlist, bits,
         glitch_aware=glitch_aware,
         glitch_weight=glitch_weight,
-        engine=engine,
-    ).simulate(bits)
-    chunked = PowerSimulator(
-        csa4_netlist,
+    )
+    chunked = run(
+        csa4_netlist, bits,
         glitch_aware=glitch_aware,
         glitch_weight=glitch_weight,
         chunk_size=chunk_size,
-        engine=engine,
-    ).simulate(bits)
+    )
     # Toggle counts are integers and must match exactly; the charge
     # dot-product reduction order differs per chunk shape, so allow
     # float-summation noise only.

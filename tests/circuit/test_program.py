@@ -1,14 +1,16 @@
-"""Compiled-engine parity suite: the instruction tape vs both engines.
+"""Compiled-engine parity suite: native backend, numpy fallback and the
+boolean reference.
 
 The compiled engine lowers a netlist to a straight-line bitwise program
 (:mod:`repro.circuit.program`) executed over the packed lane layout, with
 an optional native C backend (:mod:`repro.circuit.native`) for the
-relaxation loop and the toggle-plane decode.  Its contract is the same as
-the packed engine's: *identical* ``charge`` and ``total_toggles`` arrays
-at equal chunk size, for every module kind and configuration.  This file
-sweeps that contract (mirroring ``test_packed.py``) and unit-tests the
-tape: class canonicalization, plane decoding, LUT folding, and the
-native-vs-numpy relaxation equivalence.
+relaxation loop and the toggle-plane decode.  Its contract: *identical*
+``charge`` and ``total_toggles`` arrays to
+:func:`repro.verify.reference_trace` at equal chunk size, on both
+backends, for every module kind and configuration.  This file sweeps
+that contract across the backends (``test_packed.py`` sweeps the default
+one) and unit-tests the tape: class canonicalization, plane decoding,
+LUT folding, and the native-vs-numpy relaxation equivalence.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.circuit.native import (
     native_decode,
     native_status,
     native_tables,
+    numpy_fallback,
 )
 from repro.circuit.packed import (
     PACKED_AVAILABLE,
@@ -31,6 +34,7 @@ from repro.circuit.power import PowerSimulator, PowerTrace
 from repro.circuit.program import _CANON, compile_program, decode_planes
 from repro.circuit.technology import GATE_TYPES
 from repro.modules.library import make_module, module_kinds
+from repro.verify import reference_trace
 
 pytestmark = pytest.mark.skipif(
     not PACKED_AVAILABLE, reason="compiled engine needs a little-endian host"
@@ -56,27 +60,24 @@ def _assert_trace_equal(a: PowerTrace, b: PowerTrace):
 
 
 def _parity(module, bits, **kwargs):
-    ref = PowerSimulator(module.compiled, engine="bool", **kwargs).simulate(
-        bits
-    )
-    packed = PowerSimulator(
-        module.compiled, engine="packed", **kwargs
-    ).simulate(bits)
-    got = PowerSimulator(
-        module.compiled, engine="compiled", **kwargs
-    ).simulate(bits)
-    _assert_trace_equal(ref, packed)
+    """Reference, numpy fallback and default backend (native when it
+    builds) must all agree bit for bit."""
+    ref = reference_trace(module.compiled, bits, **kwargs)
+    with numpy_fallback():
+        fallback = PowerSimulator(module.compiled, **kwargs).simulate(bits)
+    got = PowerSimulator(module.compiled, **kwargs).simulate(bits)
+    _assert_trace_equal(ref, fallback)
     _assert_trace_equal(ref, got)
     return ref
 
 
 # ----------------------------------------------------------------------
-# Engine parity
+# Backend parity
 # ----------------------------------------------------------------------
 @pytest.mark.slow
 @pytest.mark.parametrize("kind", module_kinds())
 def test_parity_every_module_kind(kind):
-    """Three-engine glitch-aware parity, for every registry entry."""
+    """Glitch-aware parity of both backends, for every registry entry."""
     module = make_module(kind, SWEEP_WIDTH)
     bits = _stream(module, 130, seed=hash(kind) % 2**32)
     trace = _parity(module, bits)
@@ -118,7 +119,7 @@ def test_parity_awkward_stream_lengths(n_patterns):
 
 @pytest.mark.parametrize("chunk_size", [17, 64, 100])
 def test_parity_across_chunk_boundaries(chunk_size):
-    """The carried boundary column must behave identically per engine."""
+    """The carried boundary column must behave identically per backend."""
     module = make_module("cla_adder", 4)
     bits = _stream(module, 230, seed=4)
     _parity(module, bits, chunk_size=chunk_size, glitch_weight=0.5)
@@ -141,31 +142,31 @@ def test_constant_stream_has_no_toggles():
     """Unchanged inputs short-circuit the relaxation: all-zero trace."""
     module = make_module("kogge_stone_adder", 4)
     bits = np.tile(_stream(module, 1, seed=6), (80, 1))
-    trace = PowerSimulator(module.compiled, engine="compiled").simulate(bits)
+    trace = PowerSimulator(module.compiled).simulate(bits)
     assert trace.total_toggles.sum() == 0
     assert trace.charge.sum() == 0.0
 
 
 # ----------------------------------------------------------------------
-# Engine selection and stats
+# Kernel selection and stats
 # ----------------------------------------------------------------------
 def test_stats_record_compiled_engine():
     module = make_module("ripple_adder", 4)
     bits = _stream(module, 130, seed=7)
-    sim = PowerSimulator(module.compiled, engine="compiled")
+    sim = PowerSimulator(module.compiled)
     trace = sim.simulate(bits)
     assert sim.last_stats.engine == "compiled"
     assert sim.last_stats.total_toggles == int(trace.total_toggles.sum())
 
 
 def test_auto_resolves_to_compiled():
-    """auto runs the compiled tape on every stream that fills a word."""
+    """Streams of every length run the compiled tape, the short ones the
+    former auto rule sent to the boolean kernels included."""
     module = make_module("ripple_adder", 4)
-    sim = PowerSimulator(module.compiled, engine="auto")
-    assert sim.resolve_engine(10**7) == "compiled"
-    bits = _stream(module, 130, seed=7)
-    sim.simulate(bits)
-    assert sim.last_stats.engine == "compiled"
+    sim = PowerSimulator(module.compiled)
+    for n_patterns in (2, 63, 64, 130):
+        sim.simulate(_stream(module, n_patterns, seed=7))
+        assert sim.last_stats.engine == "compiled"
 
 
 # ----------------------------------------------------------------------
@@ -292,14 +293,14 @@ def test_fused_buffers_allocated_once_across_lane_counts():
     program = compile_program(module.compiled)
     if native_tables(program) is None or native_decode() is None:
         pytest.skip(f"native backend unavailable: {native_status()}")
-    sim = PowerSimulator(module.compiled, engine="compiled")
+    sim = PowerSimulator(module.compiled)
     streams = [_stream(module, n + 1, seed=20 + n) for n in (1000, 999, 1000)]
     allocated = None
     for bits in streams:
         trace = sim.simulate(bits)
         allocated = allocated or sim._fused_flat
         assert sim._fused_flat is allocated
-        fresh = PowerSimulator(module.compiled, engine="compiled")
+        fresh = PowerSimulator(module.compiled)
         _assert_trace_equal(trace, fresh.simulate(bits))
     assert sim._fused_words == n_words_for(1000)
 
@@ -377,17 +378,24 @@ def test_native_gate_toggles_in_subprocess():
 
 
 def test_hotspots_compiled_engine_parity():
-    """net_power_breakdown(engine="compiled") matches the bool report
-    exactly — program-order per-row totals permuted back to net order."""
+    """net_power_breakdown matches the boolean reference per net on both
+    backends — program-order per-row totals permuted back to net order."""
     from repro.circuit.hotspots import net_power_breakdown
+    from repro.circuit.simulate import functional_values, unit_delay_transition
 
     module = make_module("booth_wallace_multiplier", 4)
     bits = _stream(module, 150, seed=15)
-    ref = net_power_breakdown(module.compiled, bits, engine="bool")
-    got = net_power_breakdown(module.compiled, bits, engine="compiled")
-    assert [(h.net, h.toggles) for h in ref] == [
-        (h.net, h.toggles) for h in got
+    settled = functional_values(module.compiled, bits[:-1])
+    _, toggles = unit_delay_transition(module.compiled, settled, bits[1:])
+    expected = toggles.sum(axis=1, dtype=np.int64)
+    got = net_power_breakdown(module.compiled, bits)
+    with numpy_fallback():
+        fallback = net_power_breakdown(module.compiled, bits)
+    assert [(h.net, h.toggles) for h in got] == [
+        (h.net, h.toggles) for h in fallback
     ]
+    assert all(h.toggles == expected[h.net] for h in got)
     np.testing.assert_allclose(
-        [h.charge for h in ref], [h.charge for h in got], rtol=0, atol=0
+        [h.charge for h in got], [h.charge for h in fallback],
+        rtol=0, atol=0,
     )

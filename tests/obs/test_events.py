@@ -90,9 +90,11 @@ def test_simulate_feeds_sim_counters(ripple8, rng):
 
     bits = rng.integers(0, 2, size=(40, ripple8.input_bits)).astype(bool)
     before = EVENTS.snapshot()
-    PowerSimulator(ripple8.compiled, engine="bool").simulate(bits)
+    simulator = PowerSimulator(ripple8.compiled)
+    simulator.simulate(bits)
     changed = delta(before, EVENTS.snapshot())
-    assert changed['repro_sim_transitions_total{engine="bool"}'] == 39
+    engine = simulator.last_stats.engine
+    assert changed[f'repro_sim_transitions_total{{engine="{engine}"}}'] == 39
     assert changed["repro_sim_toggles_total"] > 0
     assert "repro_sim_seconds_total" in changed
 

@@ -45,7 +45,7 @@ def test_disabled_overhead_under_two_percent_of_simulate(ripple8, rng):
     """Span-count x span-cost must be < 2% of the simulate time it taxes."""
     assert tracing.current() is None
     bits = rng.integers(0, 2, size=(600, ripple8.input_bits)).astype(bool)
-    simulator_args = dict(engine="bool", chunk_size=64)
+    simulator_args = dict(chunk_size=64)
 
     from repro.circuit import PowerSimulator
 

@@ -366,25 +366,15 @@ def test_fork_resets_tmp_sequence_and_children_never_collide(tmp_path):
     assert next(cache_module._TMP_SEQUENCE) >= 3
 
 
-def test_engine_never_in_cache_keys(tmp_path):
-    """Engines are bit-identical, so the key must not split on them."""
+def test_self_check_never_in_cache_keys(tmp_path):
+    """The oracle self-check can only reject wrong traces, never change
+    correct ones, so the key must not split on it."""
     cache = ModelCache(tmp_path)
-    keys = {
-        cache.characterization_key(
-            "ripple_adder", 3, False, ExperimentConfig(engine=engine), 1
-        )
-        for engine in ("auto", "bool", "packed")
-    }
-    assert len(keys) == 1
-    # Dict-shaped configs get the same treatment.
     assert cache.make_key(
         {"config": {"n": 1}}
     ) == cache.make_key({"config": {"n": 1}})
     from repro.runtime.cache import _config_payload
 
-    assert _config_payload({"n": 1, "engine": "packed"}) == {"n": 1}
-    # The oracle self-check can only reject wrong traces, never change
-    # correct ones — it must not split the cache either.
     assert _config_payload({"n": 1, "self_check": True}) == {"n": 1}
     assert cache.characterization_key(
         "ripple_adder", 3, False, ExperimentConfig(self_check=True), 1

@@ -7,6 +7,7 @@ No pytest-asyncio: the client side runs under ``asyncio.run``.
 
 import asyncio
 import json
+import re
 
 import numpy as np
 import pytest
@@ -190,6 +191,11 @@ def test_metrics_exposition(server):
     assert "# TYPE serve_requests_total counter" in text
     assert "serve_request_seconds_bucket" in text
     assert 'serve_requests_total{endpoint="bits",status="200"}' in text
+    # The compiled engine's backend is always on the page.
+    assert "# TYPE repro_native_backend gauge" in text
+    assert re.search(
+        r'repro_native_backend\{status="(native|numpy|disabled)"\} 1', text
+    )
 
 
 def test_backpressure_429_instead_of_stalling():

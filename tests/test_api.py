@@ -166,19 +166,6 @@ def _deprecations(record):
     return [w for w in record if issubclass(w.category, DeprecationWarning)]
 
 
-def test_session_engine_shim_warns_once():
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        first = repro.Session(config=CONFIG, simulation_engine="bool")
-        second = repro.Session(config=CONFIG, simulation_engine="bool")
-    assert first.config.engine == "bool"
-    assert second.config.engine == "bool"
-    caught = _deprecations(record)
-    assert len(caught) == 1
-    assert "simulation_engine" in str(caught[0].message)
-    assert "engine" in str(caught[0].message)
-
-
 def test_session_n_jobs_shim_warns_once():
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
@@ -188,31 +175,40 @@ def test_session_n_jobs_shim_warns_once():
     assert len(_deprecations(record)) == 1
 
 
-def test_simulator_engine_shim_warns_once(ripple8):
-    from repro.circuit import PowerSimulator
+def _engine_entry_points(module):
+    from repro.circuit import PowerSimulator, net_power_breakdown
 
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        sim = PowerSimulator(ripple8.compiled, simulation_engine="bool")
-        PowerSimulator(ripple8.compiled, simulation_engine="packed")
-    assert sim.engine == "bool"
-    assert len(_deprecations(record)) == 1
+    bits = np.zeros((2, module.input_bits), dtype=bool)
+    return {
+        "session": lambda **kw: repro.Session(config=CONFIG, **kw),
+        "simulator": lambda **kw: PowerSimulator(module.compiled, **kw),
+        "characterize_module": lambda **kw: characterize_module(
+            module, n_patterns=200, **kw
+        ),
+        "experiment_config": lambda **kw: ExperimentConfig(**kw),
+        "net_power_breakdown": lambda **kw: net_power_breakdown(
+            module.compiled, bits, **kw
+        ),
+    }
 
 
-def test_characterize_module_engine_shim(ripple8):
-    with warnings.catch_warnings(record=True) as record:
-        warnings.simplefilter("always")
-        result = characterize_module(
-            ripple8, n_patterns=200, seed=1, simulation_engine="bool"
-        )
-    assert result.model is not None
-    assert len(_deprecations(record)) == 1
-    direct = characterize_module(
-        ripple8, n_patterns=200, seed=1, engine="bool"
-    )
-    np.testing.assert_array_equal(
-        result.model.coefficients, direct.model.coefficients
-    )
+@pytest.mark.parametrize(
+    "entry",
+    [
+        "session",
+        "simulator",
+        "characterize_module",
+        "experiment_config",
+        "net_power_breakdown",
+    ],
+)
+@pytest.mark.parametrize("keyword", ["engine", "simulation_engine"])
+def test_engine_keywords_removed(ripple8, keyword, entry):
+    """The engine option and its PR-5 spelling are gone everywhere: one
+    simulation engine, so passing either is a TypeError."""
+    call = _engine_entry_points(ripple8)[entry]
+    with pytest.raises(TypeError, match=keyword):
+        call(**{keyword: "bool"})
 
 
 def test_characterize_jobs_n_jobs_shim():
@@ -247,7 +243,7 @@ def test_new_spellings_do_not_warn(tmp_path):
 
     with warnings.catch_warnings(record=True) as record:
         warnings.simplefilter("always")
-        repro.Session(config=CONFIG, engine="bool", jobs=2)
+        repro.Session(config=CONFIG, jobs=2)
         characterize_jobs(
             [CharacterizationJob("ripple_adder", 2)],
             config=CONFIG, jobs=1,

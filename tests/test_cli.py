@@ -226,21 +226,21 @@ def test_verify_fuzz_unknown_kind(capsys):
 
 
 def test_verify_fuzz_reports_failure(tmp_path, capsys, monkeypatch):
-    """With a corrupted packed kernel the CLI exits 1 and points at the
+    """With a corrupted compiled kernel the CLI exits 1 and points at the
     generated repro artifact."""
     import numpy as np
 
-    import repro.circuit.power as power_mod
+    from repro.circuit.program import BitwiseProgram
 
-    real = power_mod.packed_unit_delay_transition
+    real = BitwiseProgram.relax
 
-    def corrupted(compiled, settled, new_inputs):
-        final, accumulator = real(compiled, settled, new_inputs)
+    def corrupted(self, settled, new_inputs, **kwargs):
+        final, accumulator, steps = real(self, settled, new_inputs, **kwargs)
         if accumulator.planes:
             accumulator.planes[0][0, 0] ^= np.uint64(1)
-        return final, accumulator
+        return final, accumulator, steps
 
-    monkeypatch.setattr(power_mod, "packed_unit_delay_transition", corrupted)
+    monkeypatch.setattr(BitwiseProgram, "relax", corrupted)
     assert main([
         "verify", "fuzz", "--budget", "2000", "--seed", "0",
         "--artifacts", str(tmp_path),

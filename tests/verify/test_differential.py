@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 import repro.circuit.power as power_mod
+import repro.circuit.program as program_mod
+from repro.circuit.native import native_kernel, native_status
 from repro.verify.differential import (
     DEFAULT_KINDS,
     SWAP_SYMMETRIC_KINDS,
     FuzzCase,
     check_accumulator_merge,
-    check_cache_key_engine_independence,
     check_case,
     check_classification_permutation,
     check_concatenation,
@@ -78,10 +79,6 @@ def test_swap_check_applies_to_symmetric_kinds_only():
     assert check_operand_swap(asymmetric, *_prepared(asymmetric)) == []
 
 
-def test_cache_key_engine_independence_passes():
-    assert check_cache_key_engine_independence() == []
-
-
 def test_classification_permutation_invariance():
     case = _case(kind="dadda_multiplier", width=4, stimulus="corner")
     assert check_classification_permutation(case, *_prepared(case)) == []
@@ -90,23 +87,25 @@ def test_classification_permutation_invariance():
 # ----------------------------------------------------------------------
 # Injected bugs are caught
 # ----------------------------------------------------------------------
-def test_engine_parity_catches_packed_corruption(monkeypatch):
-    """A single flipped accumulator bit in the packed kernel is detected."""
-    real = power_mod.packed_unit_delay_transition
+def test_engine_parity_catches_native_corruption(monkeypatch):
+    """A single flipped toggle-plane bit in the native relax kernel is
+    detected against the numpy fallback (and the reference)."""
+    if native_kernel() is None:
+        pytest.skip(f"native backend unavailable: {native_status()}")
+    real = program_mod.relax_native
 
-    def corrupted(compiled, settled, new_inputs):
-        final, accumulator = real(compiled, settled, new_inputs)
-        if accumulator.planes:
-            accumulator.planes[0][0, 0] ^= np.uint64(1)
-        return final, accumulator
+    def corrupted(tables, values, scratch, planes, n_planes):
+        steps, evals, n_used = real(tables, values, scratch, planes, n_planes)
+        planes[0, 0, 0] ^= np.uint64(1)
+        return steps, evals, max(n_used, 1)
 
-    monkeypatch.setattr(
-        power_mod, "packed_unit_delay_transition", corrupted
-    )
+    monkeypatch.setattr(program_mod, "relax_native", corrupted)
     case = _case(n_patterns=50)
     module, bits = _prepared(case)
     mismatches = check_engine_parity(case, module, bits)
-    assert {m.check for m in mismatches} >= {"engine_parity_toggles_packed"}
+    assert {m.check for m in mismatches} >= {
+        "engine_parity_toggles_numpy", "engine_parity_toggles_compiled"
+    }
 
 
 def test_engine_parity_catches_compiled_corruption(monkeypatch):
@@ -136,16 +135,17 @@ def test_engine_parity_catches_compiled_corruption(monkeypatch):
 
 
 def test_oracle_catches_shared_engine_bug(monkeypatch):
-    """A bug that hits BOTH engines identically slips past parity but is
-    caught by the independent Python oracle."""
-    real = power_mod.PowerSimulator.simulate
+    """A bug in the chunk loop the simulator and the reference share hits
+    both identically, slips past parity, but is caught by the
+    independent Python oracle."""
+    real = power_mod.PowerSimulator._run
 
-    def biased(self, bits):
-        trace = real(self, bits)
-        trace.total_toggles[0] += 1  # same corruption whichever engine ran
+    def biased(self, bits, engine):
+        trace = real(self, bits, engine)
+        trace.total_toggles[0] += 1  # same corruption whichever kernel ran
         return trace
 
-    monkeypatch.setattr(power_mod.PowerSimulator, "simulate", biased)
+    monkeypatch.setattr(power_mod.PowerSimulator, "_run", biased)
     case = _case(n_patterns=30)
     module, bits = _prepared(case)
     assert check_engine_parity(case, module, bits) == []  # parity is blind
@@ -201,17 +201,15 @@ def test_fuzz_respects_kind_filter(tmp_path):
 
 def test_fuzz_reports_and_shrinks_mismatches(monkeypatch, tmp_path):
     """A fuzz session over buggy code fails, shrinks and writes repros."""
-    real = power_mod.packed_unit_delay_transition
+    real = program_mod.BitwiseProgram.relax
 
-    def corrupted(compiled, settled, new_inputs):
-        final, accumulator = real(compiled, settled, new_inputs)
+    def corrupted(self, settled, new_inputs, **kwargs):
+        final, accumulator, steps = real(self, settled, new_inputs, **kwargs)
         if accumulator.planes:
             accumulator.planes[0][0, 0] ^= np.uint64(1)
-        return final, accumulator
+        return final, accumulator, steps
 
-    monkeypatch.setattr(
-        power_mod, "packed_unit_delay_transition", corrupted
-    )
+    monkeypatch.setattr(program_mod.BitwiseProgram, "relax", corrupted)
     report = run_fuzz(
         budget=2000, seed=0, artifacts_dir=str(tmp_path),
         max_mismatching_cases=1,

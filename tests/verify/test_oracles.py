@@ -23,6 +23,7 @@ from repro.core.hd_model import HdPowerModel
 from repro.core.regression import fit_width_regression
 from repro.modules.library import make_module
 from repro.stats.dbt import DbtModel
+from repro.verify import reference_trace
 from repro.verify.oracles import (
     VerificationError,
     accumulator_partition_residual,
@@ -84,11 +85,16 @@ def test_oracle_trace_matches_engine(kind):
     module = make_module(kind, 4)
     bits = _stream(module, 25, seed=1)
     oracle = oracle_power_trace(module.netlist, bits)
-    trace = PowerSimulator(module.compiled, engine="bool").simulate(bits)
-    np.testing.assert_array_equal(oracle.total_toggles, trace.total_toggles)
-    np.testing.assert_allclose(
-        oracle.charge, trace.charge, rtol=TOL, atol=0.0
-    )
+    for trace in (
+        reference_trace(module.compiled, bits),
+        PowerSimulator(module.compiled).simulate(bits),
+    ):
+        np.testing.assert_array_equal(
+            oracle.total_toggles, trace.total_toggles
+        )
+        np.testing.assert_allclose(
+            oracle.charge, trace.charge, rtol=TOL, atol=0.0
+        )
     # Dense per-net counts against the boolean kernel.
     settled = functional_values(module.compiled, bits[:-1])
     _, dense = unit_delay_transition(module.compiled, settled, bits[1:])
@@ -101,21 +107,29 @@ def test_oracle_trace_zero_delay():
     module = make_module("csa_multiplier", 3)
     bits = _stream(module, 20, seed=2)
     oracle = oracle_power_trace(module.netlist, bits, glitch_aware=False)
-    trace = PowerSimulator(
-        module.compiled, glitch_aware=False, engine="bool"
-    ).simulate(bits)
-    np.testing.assert_array_equal(oracle.total_toggles, trace.total_toggles)
-    np.testing.assert_allclose(oracle.charge, trace.charge, rtol=TOL, atol=0.0)
+    for trace in (
+        reference_trace(module.compiled, bits, glitch_aware=False),
+        PowerSimulator(module.compiled, glitch_aware=False).simulate(bits),
+    ):
+        np.testing.assert_array_equal(
+            oracle.total_toggles, trace.total_toggles
+        )
+        np.testing.assert_allclose(
+            oracle.charge, trace.charge, rtol=TOL, atol=0.0
+        )
 
 
 def test_oracle_trace_glitch_weight():
     module = make_module("ripple_adder", 4)
     bits = _stream(module, 20, seed=3)
     oracle = oracle_power_trace(module.netlist, bits, glitch_weight=0.25)
-    trace = PowerSimulator(
-        module.compiled, glitch_weight=0.25, engine="bool"
-    ).simulate(bits)
-    np.testing.assert_allclose(oracle.charge, trace.charge, rtol=TOL, atol=0.0)
+    for trace in (
+        reference_trace(module.compiled, bits, glitch_weight=0.25),
+        PowerSimulator(module.compiled, glitch_weight=0.25).simulate(bits),
+    ):
+        np.testing.assert_allclose(
+            oracle.charge, trace.charge, rtol=TOL, atol=0.0
+        )
 
 
 def test_verify_trace_prefix_accepts_and_rejects():

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import repro.circuit.power as power_mod
+import repro.circuit.program as program_mod
 from repro.verify.differential import FuzzCase, check_case
 from repro.verify.shrink import (
     MIN_PATTERNS,
@@ -21,22 +21,20 @@ from repro.verify.shrink import (
 
 
 @pytest.fixture
-def packed_toggle_bug(monkeypatch):
-    """Deterministically corrupt the packed kernel's toggle accumulator."""
-    real = power_mod.packed_unit_delay_transition
+def compiled_toggle_bug(monkeypatch):
+    """Deterministically corrupt the compiled tape's toggle planes."""
+    real = program_mod.BitwiseProgram.relax
 
-    def corrupted(compiled, settled, new_inputs):
-        final, accumulator = real(compiled, settled, new_inputs)
+    def corrupted(self, settled, new_inputs, **kwargs):
+        final, accumulator, steps = real(self, settled, new_inputs, **kwargs)
         if accumulator.planes:
             accumulator.planes[0][0, 0] ^= np.uint64(1)
-        return final, accumulator
+        return final, accumulator, steps
 
-    monkeypatch.setattr(
-        power_mod, "packed_unit_delay_transition", corrupted
-    )
+    monkeypatch.setattr(program_mod.BitwiseProgram, "relax", corrupted)
 
 
-def test_shrinker_end_to_end(packed_toggle_bug, tmp_path):
+def test_shrinker_end_to_end(compiled_toggle_bug, tmp_path):
     """ISSUE acceptance: an injected toggle-counting bug is caught and
     shrunk to a repro of <= 8 transitions; the artifact is a runnable,
     self-contained script."""
@@ -93,14 +91,14 @@ def test_shrink_non_reproducing_case_is_noop():
     assert result.mismatches == []
 
 
-def test_shrink_respects_evaluation_budget(packed_toggle_bug):
+def test_shrink_respects_evaluation_budget(compiled_toggle_bug):
     case = FuzzCase(kind="ripple_adder", width=5, n_patterns=100, seed=42)
     result = shrink_case(case, max_evaluations=3)
     assert result.n_evaluations <= 4  # initial check + budget
     assert result.mismatches  # still returns a failing case
 
 
-def test_repro_name_deterministic_and_distinct(packed_toggle_bug):
+def test_repro_name_deterministic_and_distinct(compiled_toggle_bug):
     case = FuzzCase(kind="ripple_adder", width=3, n_patterns=4, seed=0)
     mismatches = check_case(case)
     assert mismatches
