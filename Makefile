@@ -51,7 +51,7 @@ bench-fleet:
 
 # Tiny end-to-end check of the parallel characterization path and the
 # persistent cache: two CLI runs with --jobs 2; the second must be served
-# entirely from disk.
+# entirely from disk and write byte-identical models (a CI step).
 bench-smoke:
 	PYTHONPATH=src python scripts/bench_smoke.py
 

@@ -12,9 +12,9 @@ consumed.
 
 Accumulators are *mergeable* (`merge`), which is what lets parallel
 characterization workers each process a slice of the stream and ship their
-accumulator back to the parent for a single combined fit, and they are
-JSON-serializable (`to_dict` / `from_dict`) so the persistent model cache can
-store them next to the fitted coefficients.
+accumulator back to the parent for a single combined fit, and they capture
+bit-exactly to JSON (`snapshot` / `restore`) so the persistent model cache
+can store them next to the fitted coefficients.
 
 Exactness: sample counts, per-class charge sums — and therefore the fitted
 coefficients ``p_i`` / ``p_{i,z}`` — match a concatenate-and-refit over the
@@ -28,13 +28,13 @@ stream and batch schedule.
 
 from __future__ import annotations
 
-import base64
 from typing import Any, Dict
 
 import numpy as np
 
 from ..obs.events import EVENTS
 from ..obs.tracing import span
+from .serialize import decode_array, encode_array
 
 
 class ClassAccumulator:
@@ -191,27 +191,6 @@ class ClassAccumulator:
     # ------------------------------------------------------------------
     # Serialization (for the persistent cache / worker transport)
     # ------------------------------------------------------------------
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible payload; inverse of :meth:`from_dict`."""
-        return {
-            "width": self.width,
-            "counts": self.counts.tolist(),
-            "sums": self.sums.tolist(),
-            "sumsq": self.sumsq.tolist(),
-            "abs_dev": self.abs_dev.tolist(),
-            "abs_dev_hd": self.abs_dev_hd.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassAccumulator":
-        acc = cls(int(data["width"]))
-        acc.counts = np.asarray(data["counts"], dtype=np.int64)
-        acc.sums = np.asarray(data["sums"], dtype=np.float64)
-        acc.sumsq = np.asarray(data["sumsq"], dtype=np.float64)
-        acc.abs_dev = np.asarray(data["abs_dev"], dtype=np.float64)
-        acc.abs_dev_hd = np.asarray(data["abs_dev_hd"], dtype=np.float64)
-        return acc
-
     #: Array fields in serialization order, with their fixed dtypes.
     _ARRAY_FIELDS = (
         ("counts", np.int64),
@@ -224,44 +203,35 @@ class ClassAccumulator:
     def snapshot(self) -> Dict[str, Any]:
         """Bit-exact JSON-compatible state capture; inverse of :meth:`restore`.
 
-        Unlike :meth:`to_dict` (which goes through ``tolist`` and decimal
-        repr), the arrays are captured as base64 of their raw little-endian
-        bytes, so every float — signed zeros, subnormals, the exact
-        summation residue — round-trips bitwise.  This is what lets a
-        streaming estimation session survive a serve-worker drain without
-        perturbing its running estimate by even one ulp.
+        The arrays are captured as base64 of their raw little-endian bytes
+        (:func:`~repro.core.serialize.encode_array`), so every float —
+        signed zeros, subnormals, the exact summation residue — round-trips
+        bitwise.  This is what lets a streaming estimation session survive
+        a serve-worker drain without perturbing its running estimate by
+        even one ulp, and what the persistent model cache stores.
         """
         return {
             "version": 1,
             "width": self.width,
             "arrays": {
-                name: base64.b64encode(
-                    np.ascontiguousarray(
-                        getattr(self, name), dtype=dtype
-                    ).tobytes()
-                ).decode("ascii")
+                name: encode_array(getattr(self, name), dtype)
                 for name, dtype in self._ARRAY_FIELDS
             },
         }
 
     @classmethod
     def restore(cls, data: Dict[str, Any]) -> "ClassAccumulator":
-        """Rebuild an accumulator captured by :meth:`snapshot`, bit-exactly."""
+        """Rebuild an accumulator captured by :meth:`snapshot`, bit-exactly.
+
+        Raises:
+            ValueError: An array is not strict base64 or has the wrong
+                length for ``width``.
+        """
         acc = cls(int(data["width"]))
-        cells = acc.width + 1
-        shapes = {
-            "counts": (cells, cells),
-            "sums": (cells, cells),
-            "sumsq": (cells, cells),
-            "abs_dev": (cells, cells),
-            "abs_dev_hd": (cells,),
-        }
         for name, dtype in cls._ARRAY_FIELDS:
-            raw = base64.b64decode(data["arrays"][name])
-            array = np.frombuffer(raw, dtype=dtype).reshape(
-                shapes[name]
-            ).copy()
-            setattr(acc, name, array)
+            shape = getattr(acc, name).shape
+            setattr(acc, name,
+                    decode_array(data["arrays"][name], dtype, shape))
         return acc
 
     def __eq__(self, other: object) -> bool:

@@ -82,15 +82,16 @@ class EnhancedHdModel:
         sorted_charge = charge[order]
         boundaries = np.nonzero(np.any(np.diff(sorted_keys, axis=0) != 0, axis=1))[0] + 1
         for group in np.split(np.arange(len(order)), boundaries):
-            i, z = (int(v) for v in sorted_keys[group[0]])
+            # One (i, z) key object, in one order, for all three maps.
+            key = tuple(int(v) for v in sorted_keys[group[0]])
             values = sorted_charge[group]
             p = float(values.mean())
-            coefficients[(i, z)] = p
-            counts[(i, z)] = int(len(values))
+            coefficients[key] = p
+            counts[key] = int(len(values))
             if p > 0:
-                deviations[(i, z)] = float(np.abs((values - p) / p).mean())
+                deviations[key] = float(np.abs((values - p) / p).mean())
             else:
-                deviations[(i, z)] = 0.0
+                deviations[key] = 0.0
         return cls(
             name=name,
             width=width,

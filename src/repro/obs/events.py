@@ -398,7 +398,7 @@ class EventCounters:
         # Persistent model cache (repro.runtime.cache).
         self.cache_lookups = r.counter(
             "repro_cache_lookups_total",
-            "Persistent-cache lookups by outcome (hit/miss).",
+            "Persistent-cache lookups by outcome (hit/miss/stale/demoted).",
             ("result",),
         )
         self.cache_stores = r.counter(

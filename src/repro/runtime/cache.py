@@ -2,8 +2,9 @@
 
 Characterization is the expensive step of the whole flow; the cache makes it
 pay-once.  Every artifact — a fitted :class:`CharacterizationResult` or an
-evaluation ``(events, trace)`` pair — is stored as one JSON file named by
-the SHA-256 of its *complete* provenance: record type, module kind and
+evaluation ``(events, trace)`` pair — is stored as one JSON file (numeric
+arrays as base64 of their raw little-endian bytes) named by the SHA-256 of
+its *complete* provenance: record type, module kind and
 width, the full experiment configuration, the seed and the characterization
 code-version tag.  Two consequences:
 
@@ -25,21 +26,25 @@ import hashlib
 import itertools
 import json
 import os
+import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from ..circuit.power import PowerTrace
 from ..core.accumulator import ClassAccumulator
-from ..obs.events import EVENTS
 from ..core.characterize import (
     CHARACTERIZATION_VERSION,
     CharacterizationResult,
 )
+from ..core.enhanced import EnhancedHdModel
 from ..core.events import TransitionEvents
-from ..core.serialize import model_from_dict, model_to_dict
+from ..core.hd_model import HdPowerModel
+from ..core.serialize import decode_array, encode_array
+from ..obs.events import EVENTS
+from ..obs.tracing import span
 
 PathLike = Union[str, Path]
 
@@ -47,7 +52,10 @@ ENV_CACHE_DIR = "REPRO_CACHE_DIR"
 DEFAULT_CACHE_DIR = "~/.cache/repro-hd"
 
 #: On-disk payload format; bump when the JSON layout itself changes.
-CACHE_FORMAT_VERSION = "1"
+#: "2": numeric arrays are base64 of raw little-endian bytes
+#: (:func:`~repro.core.serialize.encode_array`).  A record of another
+#: format is a ``stale`` miss, re-characterized and overwritten in place.
+CACHE_FORMAT_VERSION = "2"
 
 #: Per-process sequence for temp-file names.  Combined with the pid —
 #: read at *call* time, never captured at import — it makes every
@@ -100,6 +108,127 @@ def _config_payload(config: Any) -> Dict[str, Any]:
     return payload
 
 
+# ----------------------------------------------------------------------
+# Payload codecs (format "2"): every numeric array is one base64 field.
+# ----------------------------------------------------------------------
+_BASIC_ARRAYS = (("coefficients", np.float64), ("deviations", np.float64),
+                 ("counts", np.int64), ("standard_errors", np.float64))
+#: An enhanced model's three maps, stored as columns over one key array.
+_ENHANCED_COLUMNS = (("coefficients", np.float64), ("counts", np.int64),
+                     ("deviations", np.float64))
+_EVENT_ARRAYS = ("hd", "stable_zeros", "stable_ones")
+
+
+def _encode_basic(model: HdPowerModel) -> Dict[str, Any]:
+    return {"name": model.name, "width": model.width, **{
+        name: encode_array(getattr(model, name), dtype)
+        for name, dtype in _BASIC_ARRAYS
+    }}
+
+
+def _decode_basic(data: Dict[str, Any]) -> HdPowerModel:
+    width = int(data["width"])
+    arrays = {name: decode_array(data[name], dtype, (width + 1,))
+              for name, dtype in _BASIC_ARRAYS}
+    # Interned: the models of one record share one name object, as those
+    # of a fresh characterization do (so their pickles match too).
+    return HdPowerModel(name=sys.intern(data["name"]), width=width, **arrays)
+
+
+def _encode_enhanced(model: EnhancedHdModel) -> Dict[str, Any]:
+    keys = list(model.coefficients)
+    if list(model.counts) != keys or list(model.deviations) != keys:
+        raise ValueError(
+            f"enhanced model {model.name!r}: coefficients, counts and "
+            "deviations must share one key sequence"
+        )
+    return {
+        "name": model.name,
+        "width": model.width,
+        "cluster_size": model.cluster_size,
+        "keys": encode_array(keys, np.int64),
+        **{name: encode_array(list(getattr(model, name).values()), dtype)
+           for name, dtype in _ENHANCED_COLUMNS},
+        "fallback": _encode_basic(model.fallback),
+    }
+
+
+def _decode_enhanced(data: Dict[str, Any]) -> EnhancedHdModel:
+    hd, zeros = decode_array(data["keys"], np.int64, (-1, 2)).T.tolist()
+    keys = list(zip(hd, zeros))  # one tuple per key, shared by all maps
+    columns = {
+        name: dict(zip(keys, decode_array(data[name], dtype,
+                                          (len(keys),)).tolist()))
+        for name, dtype in _ENHANCED_COLUMNS
+    }
+    return EnhancedHdModel(
+        name=sys.intern(data["name"]),
+        width=int(data["width"]),
+        cluster_size=int(data["cluster_size"]),
+        fallback=_decode_basic(data["fallback"]),
+        **columns,
+    )
+
+
+def _encode_characterization(result: CharacterizationResult) -> Dict[str, Any]:
+    enhanced, accumulator = result.enhanced, result.accumulator
+    return {
+        "model": _encode_basic(result.model),
+        "enhanced": None if enhanced is None else _encode_enhanced(enhanced),
+        "n_patterns": result.n_patterns,
+        "converged": result.converged,
+        # Histories may hold inf (sparse batches); raw float64 keeps it.
+        "history": encode_array(result.history, np.float64),
+        "average_charge": result.average_charge,
+        "convergence_reason": result.convergence_reason,
+        "accumulator": None if accumulator is None else accumulator.snapshot(),
+    }
+
+
+def _decode_characterization(
+    payload: Dict[str, Any]
+) -> CharacterizationResult:
+    enhanced, accumulator = payload["enhanced"], payload["accumulator"]
+    return CharacterizationResult(
+        model=_decode_basic(payload["model"]),
+        enhanced=None if enhanced is None else _decode_enhanced(enhanced),
+        n_patterns=int(payload["n_patterns"]),
+        converged=bool(payload["converged"]),
+        history=decode_array(payload["history"], np.float64, (-1,)).tolist(),
+        average_charge=float(payload["average_charge"]),
+        convergence_reason=payload["convergence_reason"],
+        accumulator=(None if accumulator is None
+                     else ClassAccumulator.restore(accumulator)),
+    )
+
+
+def _encode_trace(
+    events: TransitionEvents, trace: PowerTrace
+) -> Dict[str, Any]:
+    return {
+        "width": events.width,
+        "cycles": events.n_cycles,
+        **{name: encode_array(getattr(events, name), np.int64)
+           for name in _EVENT_ARRAYS},
+        "charge": encode_array(trace.charge, np.float64),
+        "total_toggles": encode_array(trace.total_toggles, np.int64),
+    }
+
+
+def _decode_trace(
+    payload: Dict[str, Any]
+) -> Tuple[TransitionEvents, PowerTrace]:
+    shape = (int(payload["cycles"]),)
+    events = TransitionEvents(width=int(payload["width"]), **{
+        name: decode_array(payload[name], np.int64, shape)
+        for name in _EVENT_ARRAYS
+    })
+    return events, PowerTrace(
+        charge=decode_array(payload["charge"], np.float64, shape),
+        total_toggles=decode_array(payload["total_toggles"], np.int64, shape),
+    )
+
+
 class ModelCache:
     """Content-addressed disk cache of characterization artifacts.
 
@@ -109,7 +238,8 @@ class ModelCache:
 
     Attributes:
         hits: Successful loads served by this instance.
-        misses: Lookups that found no entry.
+        misses: Lookups that found no usable entry (including a record
+            of an older :data:`CACHE_FORMAT_VERSION`).
         stores: Entries written by this instance.
         quarantined: Corrupt records found and moved aside (``.corrupt``)
             by this instance.  A truncated or garbled file — a crashed
@@ -209,41 +339,65 @@ class ModelCache:
         EVENTS.cache_lookups.inc(result="demoted")
         self._quarantine(key)
 
-    def load(self, key: str) -> Optional[Dict[str, Any]]:
-        """Fetch a raw record; counts a hit or miss.
+    def _count(self, result: str) -> str:
+        if result == "hit":
+            self.hits += 1
+        else:
+            self.misses += 1
+        EVENTS.cache_lookups.inc(result=result)
+        return result
 
-        A record that exists but cannot be parsed — truncated write,
-        binary garbage, or a non-object top level — is quarantined and
-        reported as a miss rather than raised.
+    def _read(self, key: str) -> Tuple[str, Optional[Dict[str, Any]]]:
+        """Fetch and count a raw record: ``(outcome, record or None)``.
+
+        The outcome is ``hit``, ``miss`` or ``stale`` (a valid record of
+        another :data:`CACHE_FORMAT_VERSION`: a miss, which the caller's
+        re-store overwrites at the same path).
         """
         path = self._path(key)
         try:
             record = json.loads(path.read_text())
         except FileNotFoundError:
-            self._count_miss()
-            return None
+            return self._count("miss"), None
         except (ValueError, UnicodeDecodeError):
             # json.JSONDecodeError is a ValueError; UnicodeDecodeError
             # covers non-text garbage.
             self._quarantine(key)
-            self._count_miss()
-            return None
+            return self._count("miss"), None
         if not isinstance(record, dict):
             self._quarantine(key)
-            self._count_miss()
-            return None
+            return self._count("miss"), None
         if record.get("format") != CACHE_FORMAT_VERSION:
-            # Valid record of another layout generation: plain miss, the
-            # file may still be readable by other tooling.
-            self._count_miss()
-            return None
-        self.hits += 1
-        EVENTS.cache_lookups.inc(result="hit")
-        return record
+            return self._count("stale"), None
+        return self._count("hit"), record
 
-    def _count_miss(self) -> None:
-        self.misses += 1
-        EVENTS.cache_lookups.inc(result="miss")
+    def load(self, key: str) -> Optional[Dict[str, Any]]:
+        """Fetch a raw record; counts a hit, a miss or a stale miss.
+
+        A record that exists but cannot be parsed — truncated write,
+        binary garbage, or a non-object top level — is quarantined and
+        reported as a miss rather than raised.
+        """
+        return self._read(key)[1]
+
+    def _load_typed(self, key: str, record: str,
+                    decode: Callable[[Dict[str, Any]], Any]) -> Any:
+        """:meth:`load` plus ``decode`` of the payload, in one span."""
+        with span("cache.lookup", record=record) as live:
+            result, raw = self._read(key)
+            value = None
+            if raw is not None:
+                try:
+                    value = decode(raw["payload"])
+                except (KeyError, TypeError, ValueError, AttributeError):
+                    # Parsed as JSON but structurally wrong (a truncated
+                    # rewrite that still closed its braces, a bad base64
+                    # array — binascii.Error is a ValueError): same
+                    # treatment as unparseable.
+                    self._demote_to_quarantined_miss(key)
+                    result = "demoted"
+            live.set(result=result)
+            return value
 
     def store(
         self, key: str, payload: Dict[str, Any], meta: Dict[str, Any]
@@ -277,36 +431,9 @@ class ModelCache:
     def load_characterization(
         self, key: str
     ) -> Optional[CharacterizationResult]:
-        record = self.load(key)
-        if record is None:
-            return None
-        try:
-            payload = record["payload"]
-            accumulator = None
-            if payload.get("accumulator") is not None:
-                accumulator = ClassAccumulator.from_dict(
-                    payload["accumulator"]
-                )
-            return CharacterizationResult(
-                model=model_from_dict(payload["model"]),
-                enhanced=(
-                    model_from_dict(payload["enhanced"])
-                    if payload.get("enhanced") is not None
-                    else None
-                ),
-                n_patterns=int(payload["n_patterns"]),
-                converged=bool(payload["converged"]),
-                history=[float(v) for v in payload["history"]],
-                average_charge=float(payload["average_charge"]),
-                convergence_reason=payload.get("convergence_reason", ""),
-                accumulator=accumulator,
-            )
-        except (KeyError, TypeError, ValueError, AttributeError):
-            # Parsed as JSON but structurally wrong (e.g. a truncated
-            # rewrite that still closed its braces): same treatment as
-            # unparseable — quarantine and miss.
-            self._demote_to_quarantined_miss(key)
-            return None
+        return self._load_typed(
+            key, "characterization", _decode_characterization
+        )
 
     def store_characterization(
         self,
@@ -314,29 +441,12 @@ class ModelCache:
         result: CharacterizationResult,
         meta: Optional[Dict[str, Any]] = None,
     ) -> Path:
-        payload = {
-            "model": model_to_dict(result.model),
-            "enhanced": (
-                model_to_dict(result.enhanced)
-                if result.enhanced is not None
-                else None
-            ),
-            "n_patterns": result.n_patterns,
-            "converged": result.converged,
-            # JSON has no inf; histories may contain it for sparse batches.
-            "history": [
-                v if np.isfinite(v) else repr(v) for v in result.history
-            ],
-            "average_charge": result.average_charge,
-            "convergence_reason": result.convergence_reason,
-            "accumulator": (
-                result.accumulator.to_dict()
-                if result.accumulator is not None
-                else None
-            ),
-        }
-        base = {"record": "characterization", "name": result.model.name}
-        return self.store(key, payload, {**base, **(meta or {})})
+        with span("cache.store", record="characterization"):
+            base = {"record": "characterization", "name": result.model.name}
+            return self.store(
+                key, _encode_characterization(result),
+                {**base, **(meta or {})},
+            )
 
     # ------------------------------------------------------------------
     # Evaluation (events, trace) records
@@ -344,31 +454,7 @@ class ModelCache:
     def load_trace(
         self, key: str
     ) -> Optional[Tuple[TransitionEvents, PowerTrace]]:
-        record = self.load(key)
-        if record is None:
-            return None
-        try:
-            payload = record["payload"]
-            events = TransitionEvents(
-                width=int(payload["width"]),
-                hd=np.asarray(payload["hd"], dtype=np.int64),
-                stable_zeros=np.asarray(
-                    payload["stable_zeros"], dtype=np.int64
-                ),
-                stable_ones=np.asarray(
-                    payload["stable_ones"], dtype=np.int64
-                ),
-            )
-            trace = PowerTrace(
-                charge=np.asarray(payload["charge"], dtype=np.float64),
-                total_toggles=np.asarray(
-                    payload["total_toggles"], dtype=np.int64
-                ),
-            )
-            return events, trace
-        except (KeyError, TypeError, ValueError, AttributeError):
-            self._demote_to_quarantined_miss(key)
-            return None
+        return self._load_typed(key, "trace", _decode_trace)
 
     def store_trace(
         self,
@@ -377,16 +463,11 @@ class ModelCache:
         trace: PowerTrace,
         meta: Optional[Dict[str, Any]] = None,
     ) -> Path:
-        payload = {
-            "width": events.width,
-            "hd": events.hd.tolist(),
-            "stable_zeros": events.stable_zeros.tolist(),
-            "stable_ones": events.stable_ones.tolist(),
-            "charge": trace.charge.tolist(),
-            "total_toggles": trace.total_toggles.tolist(),
-        }
-        base = {"record": "trace"}
-        return self.store(key, payload, {**base, **(meta or {})})
+        with span("cache.store", record="trace"):
+            return self.store(
+                key, _encode_trace(events, trace),
+                {"record": "trace", **(meta or {})},
+            )
 
     # ------------------------------------------------------------------
     # Maintenance

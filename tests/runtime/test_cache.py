@@ -55,14 +55,14 @@ def test_trace_round_trip(tmp_path):
     assert cache.load_trace(key) is None
     cache.store_trace(key, events, trace)
     loaded_events, loaded_trace = ModelCache(tmp_path).load_trace(key)
-    np.testing.assert_array_equal(loaded_events.hd, events.hd)
-    np.testing.assert_array_equal(
-        loaded_events.stable_zeros, events.stable_zeros
-    )
-    np.testing.assert_array_equal(loaded_trace.charge, trace.charge)
-    np.testing.assert_array_equal(
-        loaded_trace.total_toggles, trace.total_toggles
-    )
+    assert loaded_events.width == events.width
+    pairs = [(getattr(loaded_events, name), getattr(events, name))
+             for name in ("hd", "stable_zeros", "stable_ones")]
+    pairs += [(getattr(loaded_trace, name), getattr(trace, name))
+              for name in ("charge", "total_toggles")]
+    for loaded, original in pairs:
+        assert loaded.dtype == original.dtype
+        np.testing.assert_array_equal(loaded, original)
 
 
 def test_key_covers_full_provenance(tmp_path):
