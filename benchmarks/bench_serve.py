@@ -145,6 +145,12 @@ def run_http_comparison(n_requests=HTTP_REQUESTS,
             )
         assert report.n_5xx == 0 and report.errors == 0, report.summary()
         out[label] = report.to_dict()
+        # serve_batch_wait_seconds has one observation per batched
+        # request, serve_batch_size one per flush.
+        out[label]["batch_size_mean"] = (
+            server.metrics.batch_wait_seconds.count()
+            / max(server.metrics.batch_size.count(), 1)
+        )
     out["http_speedup"] = (
         out["batched"]["throughput_rps"] / out["unbatched"]["throughput_rps"]
     )
@@ -372,7 +378,8 @@ def main(argv=None):
     print(f"  speedup:   {engine['speedup']:10.2f}x  (parity verified)")
     http = run_http_comparison()
     print(f"  http batched:   {http['batched']['throughput_rps']:7.0f} req/s"
-          f"  (p99 {http['batched']['p99_ms']:.2f} ms)")
+          f"  (p99 {http['batched']['p99_ms']:.2f} ms, mean batch "
+          f"{http['batched']['batch_size_mean']:.2f})")
     print(f"  http unbatched: {http['unbatched']['throughput_rps']:7.0f} req/s"
           f"  (p99 {http['unbatched']['p99_ms']:.2f} ms)")
     print(f"  http speedup:   {http['http_speedup']:7.2f}x")
@@ -381,8 +388,11 @@ def main(argv=None):
         f"{name} {entry['total_s'] * 1e3:.2f}ms"
         for name, entry in sorted(spans.items())
     ))
+    from repro.circuit.native import native_status
+
     record = {
         "module": f"{MODULE_KIND}/{MODULE_WIDTH}",
+        "native_backend": native_status(),
         "engine": engine,
         "http": http,
         "span_summary": spans,

@@ -10,7 +10,7 @@ throwaway cache, then asserts, in order:
    :class:`~repro.core.estimator.PowerEstimator` call on the same model
    to 1e-9;
 3. ``/healthz`` reports ``ok`` and ``/metrics`` exposes non-empty
-   request-latency and batch-size histograms;
+   request-latency, batch-size and batch-wait histograms;
 4. a deliberate flood against a ``max_queue=2`` server is *rejected*
    with 429s instead of stalling — and still never 5xxes;
 5. both servers drain cleanly (no lingering threads past ``stop()``).
@@ -99,13 +99,15 @@ def check_health_and_metrics(port: int) -> None:
     status, payload = request_once(port, "GET", "/metrics")
     assert status == 200
     text = payload.decode()
-    for metric in ("serve_request_seconds", "serve_batch_size"):
+    for metric in ("serve_request_seconds", "serve_batch_size",
+                   "serve_batch_wait_seconds"):
         match = re.search(rf"^{metric}_count(?:{{[^}}]*}})? (\d+)",
                           text, re.MULTILINE)
         assert match and int(match.group(1)) > 0, (
             f"{metric} histogram is empty:\n{text}"
         )
-    print("  metrics: request-latency and batch-size histograms populated")
+    print("  metrics: request-latency, batch-size and batch-wait "
+          "histograms populated")
 
 
 def check_backpressure(cache_dir: str) -> None:

@@ -190,8 +190,12 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="admission limit; excess requests get 429")
     p.add_argument("--max-batch", type=int, default=64,
                    help="micro-batch flush size (1 disables coalescing)")
-    p.add_argument("--batch-wait-ms", type=float, default=2.0,
-                   help="micro-batch flush window in milliseconds")
+    p.add_argument("--batch-wait-ms", type=float, default=0.0,
+                   help="micro-batch flush window in milliseconds; 0 "
+                        "flushes at the end of the event-loop tick (requests "
+                        "arriving together still coalesce), a positive "
+                        "window holds each batch open that long for more "
+                        "coalescing at the cost of latency")
     p.add_argument("--request-timeout", type=float, default=30.0,
                    help="per-request deadline in seconds (504 past it)")
     p.add_argument("--max-exact-width", type=int, default=16,
@@ -367,16 +371,21 @@ def _emit_envelope(args, command, status, started, payload, artifacts=()):
 
     Every machine-facing subcommand shares this shape so callers can
     parse results uniformly: ``status`` is "ok" or "failed", timings are
-    wall-clock, and ``artifacts`` lists every file the command wrote
-    (model JSON, Chrome traces, repro scripts).
+    wall-clock, ``native_backend`` is the simulator backend's
+    ``native_status()``, and ``artifacts`` lists every file the command
+    wrote (model JSON, Chrome traces, repro scripts).
     """
     import json
     import time
 
+    from .circuit.native import native_kernel, native_status
+
+    native_kernel()  # resolve the backend so the status is not "unresolved"
     envelope = {
         "status": status,
         "command": command,
         "elapsed_seconds": round(time.perf_counter() - started, 6),
+        "native_backend": native_status(),
     }
     envelope.update(payload)
     artifacts = [str(a) for a in artifacts if a]

@@ -32,6 +32,10 @@ from ..obs.events import (  # noqa: F401  (re-exports: public back-compat)
     _Metric,
 )
 
+#: Batch-wait buckets (seconds): the latency buckets plus finer ones for
+#: the tens of microseconds a flush at the end of the loop tick waits.
+BATCH_WAIT_BUCKETS = (0.00005, 0.0001, 0.00025) + LATENCY_BUCKETS
+
 
 class ServeMetrics:
     """The serving layer's metric set, wired once and shared by registry,
@@ -83,6 +87,12 @@ class ServeMetrics:
         self.batch_flush_total = r.counter(
             "serve_batch_flush_total", "Batch flushes by trigger.",
             ("reason",),
+        )
+        self.batch_wait_seconds = r.histogram(
+            "serve_batch_wait_seconds",
+            "Per batched request: time from enqueue to the start of its "
+            "flush.",
+            BATCH_WAIT_BUCKETS,
         )
         # Streaming sessions (docs/SERVING.md "Streaming sessions").
         self.sessions_open = r.gauge(

@@ -3,7 +3,10 @@
 The registry is the serving layer's answer to "which fitted model handles
 this request?".  Resolution order for ``(kind, width, enhanced)``:
 
-1. **memory** — models already materialized this process;
+1. **memory** — models already materialized this process.
+   :meth:`ModelRegistry.resident` answers this tier alone: a dict read
+   under the registry lock that never loads, so the server calls it on
+   its event loop and hands only a miss to a load thread;
 2. **cache** — the persistent :class:`~repro.runtime.cache.ModelCache`
    (characterize-once/evaluate-many: a warm cache costs zero simulator
    cycles);
@@ -23,7 +26,8 @@ A *failed* leader never poisons the key: its in-flight slot is removed
 under the lock before the error propagates, and every waiting follower
 retries from scratch (one of them becomes the next leader) instead of
 re-raising the stale error or hanging.  The registry is thread-safe — the
-asyncio server calls it from executor threads.
+asyncio server calls :meth:`~ModelRegistry.get` from executor threads and
+:meth:`~ModelRegistry.resident` from its event loop.
 """
 
 from __future__ import annotations
@@ -176,6 +180,49 @@ class ModelRegistry:
             return "exact" if width <= self.max_exact_width else "regressed"
         return mode
 
+    def _key(
+        self, kind: str, width: int, enhanced: bool, mode: str
+    ) -> Tuple[str, int, bool, str]:
+        """The registry key of a request: canonical kind, width, enhanced
+        and resolved mode.  Raises the request's :class:`RegistryError`."""
+        if width >= 1:
+            kind = self.canonicalize(kind, width)
+        resolved = self.resolve_mode(kind, width, mode)
+        if resolved == "regressed" and enhanced:
+            raise RegistryError(
+                "the width regression parameterizes basic models only; "
+                "request enhanced=false or an exact width"
+            )
+        return (kind, int(width), bool(enhanced), resolved)
+
+    def _resident(
+        self, key: Tuple[str, int, bool, str]
+    ) -> Optional[ServedModel]:
+        """The memory tier; the caller holds ``self._lock``."""
+        model = self._models.get(key)
+        if model is not None:
+            self.metrics.registry_lookups_total.inc(result="memory")
+        return model
+
+    def resident(
+        self,
+        kind: str,
+        width: int,
+        enhanced: bool = False,
+        mode: str = "auto",
+    ) -> Optional[ServedModel]:
+        """The model serving this request if it is already in memory,
+        else ``None``.
+
+        Never loads, so it is cheap enough to call on an event loop: a
+        dict read under the registry lock.  Raises the same
+        :class:`RegistryError` subclasses as :meth:`get` for a bad
+        request.
+        """
+        key = self._key(kind, width, enhanced, mode)
+        with self._lock:
+            return self._resident(key)
+
     def get(
         self,
         kind: str,
@@ -188,20 +235,15 @@ class ModelRegistry:
         Blocking; safe to call from many threads at once.  Exactly one
         caller per distinct key does the expensive work.
         """
-        if width >= 1:
-            kind = self.canonicalize(kind, width)
-        resolved = self.resolve_mode(kind, width, mode)
-        if resolved == "regressed" and enhanced:
-            raise RegistryError(
-                "the width regression parameterizes basic models only; "
-                "request enhanced=false or an exact width"
-            )
-        key = (kind, int(width), bool(enhanced), resolved)
+        key = self._key(kind, width, enhanced, mode)
+        kind, width, enhanced, resolved = key
         while True:
+            # The memory check and the slot claim share one critical
+            # section: a load that lands between them would otherwise
+            # start a duplicate.
             with self._lock:
-                model = self._models.get(key)
+                model = self._resident(key)
                 if model is not None:
-                    self.metrics.registry_lookups_total.inc(result="memory")
                     return model
                 slot = self._inflight.get(key)
                 if slot is None:

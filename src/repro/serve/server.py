@@ -903,6 +903,10 @@ class EstimationServer:
     async def _get_model(self, kind, width, enhanced, mode):
         loop = asyncio.get_running_loop()
         try:
+            # A resident model is a dict read: answered on the loop.
+            served = self.registry.resident(kind, width, enhanced, mode)
+            if served is not None:
+                return served
             # Explicit context handoff: executor threads do not inherit
             # contextvars, so a traced request's registry spans would be
             # lost without the wrap.

@@ -43,7 +43,7 @@ def test_size_flush_parity(served_adder4):
 
 
 def test_timeout_flush(served_adder4):
-    """An underfull batch flushes when the 2 ms window expires."""
+    """An underfull batch flushes when the 5 ms window expires."""
     matrices = _matrices(served_adder4, 3)
     batcher = MicroBatcher(max_batch=64, max_wait=0.005)
     # engine_requests_total now aliases the process-global shared counter
@@ -60,6 +60,42 @@ def test_timeout_flush(served_adder4):
     assert batcher.metrics.batch_flush_total.value(reason="timeout") == 1
     assert batcher.metrics.batch_size.count() == 1
     assert batcher.metrics.engine_requests_total.value() - before == 3
+
+
+def test_default_window_flushes_at_end_of_tick(served_adder4):
+    """The default zero window still coalesces same-tick requests."""
+    matrices = _matrices(served_adder4, 3)
+    batcher = MicroBatcher()
+    assert batcher.max_wait == 0
+
+    async def go():
+        return await asyncio.gather(*(
+            batcher.estimate_bits(served_adder4, m) for m in matrices
+        ))
+
+    results = asyncio.run(go())
+    assert len(results) == 3
+    metrics = batcher.metrics
+    assert metrics.batch_flush_total.value(reason="timeout") == 1
+    assert metrics.batch_flush_total.value(reason="size") == 0
+    # One flush delivered all three results: it held all three requests.
+    assert metrics.batch_size.count() == 1
+
+
+def test_batch_wait_histogram_counts_every_batched_request(served_adder4):
+    """One serve_batch_wait_seconds observation per batched request."""
+    matrices = _matrices(served_adder4, 7)
+    batcher = MicroBatcher(max_batch=3)
+
+    async def go():
+        return await asyncio.gather(*(
+            batcher.estimate_bits(served_adder4, m) for m in matrices
+        ))
+
+    asyncio.run(go())
+    metrics = batcher.metrics
+    assert metrics.batch_size.count() == 3  # sizes 3, 3 and 1
+    assert metrics.batch_wait_seconds.count() == len(matrices)
 
 
 def test_drain_flush(served_adder4):

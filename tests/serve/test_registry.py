@@ -29,6 +29,32 @@ def test_memory_hit_returns_same_object(serve_registry, served_adder4):
     assert after == before + 1
 
 
+def test_resident_is_the_memory_tier_only(serve_registry, served_adder4):
+    """resident() never loads: None on a miss, the model on a hit."""
+    lookups = serve_registry.metrics.registry_lookups_total
+    memory_before = lookups.value(result="memory")
+    assert serve_registry.resident("ripple_adder", 4) is served_adder4
+    assert lookups.value(result="memory") == memory_before + 1
+
+    cold = ModelRegistry(config=CONFIG, cache=None)
+    assert cold.resident("ripple_adder", 4) is None
+    assert len(cold) == 0
+    assert cold.metrics.registry_lookups_total.value(result="memory") == 0
+
+
+def test_resident_rejects_bad_requests_like_get():
+    registry = ModelRegistry(config=CONFIG, cache=None, max_exact_width=4)
+    with pytest.raises(UnknownKindError):
+        registry.resident("flux_capacitor", 4)
+    with pytest.raises(RegistryError, match="mode"):
+        registry.resident("ripple_adder", 4, mode="psychic")
+    with pytest.raises(RegistryError, match="width"):
+        registry.resident("ripple_adder", 0)
+    with pytest.raises(RegistryError, match="enhanced"):
+        registry.resident("ripple_adder", 8, enhanced=True)
+    assert len(registry) == 0
+
+
 def test_characterized_source_and_estimator(served_adder4):
     assert served_adder4.source == "characterized"
     assert served_adder4.name == "ripple_adder/4"

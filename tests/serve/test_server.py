@@ -258,6 +258,56 @@ def test_deadline_yields_504():
     assert answer["error"]["code"] == "deadline_exceeded"
 
 
+# ----------------------------------------------------------------------
+# Resident models are looked up on the event loop, not in a load thread
+# ----------------------------------------------------------------------
+@pytest.fixture
+def no_load_pool(server, monkeypatch):
+    """The shared server with its load pool refusing all work."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("request went through the serve-load pool")
+
+    monkeypatch.setattr(server.server._load_pool, "submit", refuse)
+    return server
+
+
+def test_resident_model_skips_load_pool(no_load_pool):
+    metrics = no_load_pool.server.metrics
+    memory_before = metrics.registry_lookups_total.value(result="memory")
+    waits_before = metrics.batch_wait_seconds.count()
+    status, answer = request(no_load_pool.port, "POST", "/v1/estimate/bits",
+                             {"kind": KIND, "width": WIDTH, "bits": _bits()})
+    assert status == 200, answer
+    assert answer["source"] != "regressed"
+    assert (
+        metrics.registry_lookups_total.value(result="memory")
+        - memory_before
+    ) == 1
+    assert metrics.batch_wait_seconds.count() - waits_before == 1
+
+
+@pytest.mark.parametrize("payload, status, body", [
+    ({"kind": "warp_core", "width": WIDTH},
+     404, {"code": "unknown_kind",
+           "message": "unknown module kind 'warp_core'"}),
+    ({"kind": KIND, "width": WIDTH, "mode": "fast"},
+     400, {"code": "bad_request",
+           "message": "mode must be auto/exact/regressed, got 'fast'"}),
+    ({"kind": KIND, "width": 32, "enhanced": True},
+     400, {"code": "bad_request",
+           "message": "the width regression parameterizes basic models "
+                      "only; request enhanced=false or an exact width"}),
+], ids=["unknown-kind", "bad-mode", "regressed-enhanced"])
+def test_lookup_errors_answer_on_the_loop(no_load_pool, payload, status,
+                                          body):
+    """Key-step rejections keep their status and body, with no load."""
+    got_status, answer = request(no_load_pool.port, "POST",
+                                 "/v1/estimate/bits",
+                                 {**payload, "bits": _bits()})
+    assert got_status == status
+    assert answer == {"error": body}
+
+
 def test_graceful_shutdown_leaves_no_thread():
     registry = ModelRegistry(config=CONFIG, cache=None)
     instance = EstimationServer(registry)

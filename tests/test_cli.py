@@ -367,6 +367,25 @@ def test_estimate_json_envelope(capsys):
     assert envelope["physical"]["power_watts"] > 0
 
 
+@pytest.mark.parametrize("gate", ["", "0"], ids=["default", "disabled"])
+def test_json_envelope_carries_native_backend(gate, monkeypatch, capsys):
+    """Every --json envelope holds native_status() verbatim."""
+    from repro.circuit import native_status
+
+    monkeypatch.setenv("REPRO_NATIVE", gate)
+    code = main([
+        "estimate", "--kind", "ripple_adder", "--width", "3",
+        "--patterns", "300", "--json",
+    ])
+    assert code == 0
+    envelope = json.loads(capsys.readouterr().out)
+    assert envelope["native_backend"] == native_status()
+    if gate == "0":
+        assert envelope["native_backend"] == "disabled by REPRO_NATIVE"
+    else:
+        assert envelope["native_backend"] != "unresolved"
+
+
 def test_verify_fuzz_json_envelope(tmp_path, capsys):
     code = main([
         "verify", "fuzz", "--budget", "200", "--seed", "0",
